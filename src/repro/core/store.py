@@ -50,6 +50,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import enum
+import fcntl
 import functools
 import hashlib
 import json
@@ -286,7 +287,10 @@ class SweepJournal:
 
     Each :meth:`record` appends one line and fsyncs, so the journal
     survives the same crashes the store does.  A torn final line (the
-    crash landed mid-append) is tolerated on read.
+    crash landed mid-append) is tolerated on read.  Appenders — threads
+    or ``repro work`` processes sharing the file — take an exclusive
+    ``flock`` for the heal-and-append, so none reads another's
+    half-visible write as a torn tail.
     """
 
     def __init__(self, path: Path):
@@ -300,6 +304,8 @@ class SweepJournal:
         # Binary mode throughout: a torn tail may hold arbitrary bytes,
         # which a utf-8 text handle would refuse to even look at.
         with open(self.path, "ab+") as handle:
+            # Released when the handle closes.
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             # Heal a torn tail from a crash mid-append: if the file
             # doesn't end in a newline, terminate the dead line first
             # so this record stays parseable.

@@ -14,11 +14,11 @@ Two execution modes share this one class:
   has bound itself via :meth:`bind_scheduler` and the caller is running
   inside one of its sessions, ``advance``/``sleep_until`` *suspend the
   calling session* instead: a wake-up event is pushed onto the
-  scheduler's queue and control returns to the event loop, which may
-  run other sessions' earlier events first.  When the session resumes,
-  the clock reads exactly the requested target time — the same float
-  the serial path would have computed — so a single-session scheduled
-  run is byte-identical to a serial one.
+  scheduler's queue, and earlier events (other sessions, timers) run
+  first; when there are none, the session carries straight on.  When it
+  resumes, the clock reads exactly the requested target time — the
+  same float the serial path would have computed — so a single-session
+  scheduled run is byte-identical to a serial one.
 
 Callers outside :mod:`repro.netsim` should prefer :meth:`sleep_until`
 (absolute deadline) over raw :meth:`advance` (relative delta): a

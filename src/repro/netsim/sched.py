@@ -13,13 +13,34 @@ How a session suspends
 ----------------------
 
 Every session runs on its own pool thread, but **exactly one thread is
-ever runnable**: the event loop hands control to a session, then blocks
-until that session either finishes or suspends; a session suspends only
-inside :meth:`SimClock.advance` / :meth:`SimClock.sleep_until`, which
-push a wake-up event and hand control back.  This strict hand-off is
-what keeps the simulation deterministic — there is no preemption, no
-lock contention, and shared RNG streams (latency jitter, fault rolls)
-are consumed in event order, which the queue makes reproducible.
+ever runnable**, and it dispatches events in queue order whichever
+thread it is.  A session suspends only inside :meth:`SimClock.advance`
+/ :meth:`SimClock.sleep_until`, which push a wake-up event.  One
+dispatch step (:meth:`EventScheduler._dispatch`) pops the queue head,
+jumps the clock, counts and journals the event and runs it; the loop
+thread and the workers all use it, and a thread hands control to
+another only when the next event belongs to that other thread:
+
+1. **Run-ahead.**  A suspending session whose own wake-up is the next
+   event (it sorts strictly before every queued event, no session
+   failure is pending, and it falls within ``run(until)``) dispatches
+   that wake-up itself and carries on without a hand-off.  Otherwise it
+   hands control back to the loop, which resumes it when its turn comes.
+2. **Free-worker dispatch.**  A worker whose session has just finished
+   keeps dispatching: timer callbacks run inline, and a session start
+   runs on this same worker, which tops the LIFO idle stack and is
+   therefore the thread the loop would have picked.  It wakes the loop
+   only for another session's wake-up, an empty queue, ``until``, or a
+   pending failure.  An exception a timer callback raises there is
+   re-raised by :meth:`EventScheduler.run` on the loop, as if the loop
+   had run the callback.
+
+The same events therefore run in the same order, on the same threads
+for sessions, as under a strict loop-to-session round trip per event —
+``tests/netsim/test_sched_golden.py`` replays journals recorded on that
+design.  There is no preemption, no lock contention, and shared RNG
+streams (latency jitter, fault rolls) are consumed in event order,
+which the queue makes reproducible.
 
 Event ordering and determinism
 ------------------------------
@@ -139,7 +160,8 @@ class Session:
 
 
 class _Worker(threading.Thread):
-    """A pooled session runner under the strict hand-off protocol."""
+    """A pooled session runner; between sessions, a free worker that
+    dispatches starts and timers itself (see :meth:`EventScheduler._dispatch`)."""
 
     def __init__(self, scheduler: "EventScheduler", index: int):
         super().__init__(name=f"sim-session-{index}", daemon=True)
@@ -157,15 +179,18 @@ class _Worker(threading.Thread):
             self.assigned.clear()
             if scheduler._closing:
                 return
-            session = self.session
-            assert session is not None
-            try:
-                session.fn()
-            except _SessionAborted:
-                return
-            except BaseException as exc:  # noqa: BLE001 - reported to run()
-                scheduler._note_failure(session, exc)
-            scheduler._finish_session(self, session)
+            # The assigned session, then every session this worker
+            # starts for itself as a free worker.
+            while self.session is not None:
+                session = self.session
+                try:
+                    session.fn()
+                except _SessionAborted:
+                    return
+                except BaseException as exc:  # noqa: BLE001 - reported to run()
+                    scheduler._note_failure(session, exc)
+                scheduler._finish_session(self, session)
+            scheduler._control.set()
 
 
 class EventScheduler:
@@ -218,8 +243,11 @@ class EventScheduler:
         self._admission: Deque[Session] = deque()
         self._active = 0
         self._running = False
+        self._until: Optional[float] = None
         self._closing = False
         self._failure: Optional[Tuple[Session, BaseException]] = None
+        #: What a free worker's dispatch raised, for run() to re-raise.
+        self._relayed: Optional[BaseException] = None
         clock.bind_scheduler(self)
 
     # ------------------------------------------------------------------
@@ -235,10 +263,16 @@ class EventScheduler:
         return self._clock
 
     def in_session(self) -> bool:
-        """True when the calling thread is one of this scheduler's
-        session threads (the clock uses this to decide suspend-vs-mutate)."""
+        """True when the calling thread is running one of this
+        scheduler's sessions (the clock uses this to decide
+        suspend-vs-mutate).  False inside a timer callback, even when a
+        free worker thread runs it."""
         current = threading.current_thread()
-        return isinstance(current, _Worker) and current.scheduler is self
+        return (
+            isinstance(current, _Worker)
+            and current.scheduler is self
+            and current.session is not None
+        )
 
     def pending(self) -> int:
         """Events still queued (suspended sessions, future dispatches,
@@ -294,7 +328,8 @@ class EventScheduler:
         tiebreak: Tuple[int, ...] = (),
     ) -> None:
         """Schedule a plain callback (fault window, aggregation-window
-        boundary) on the loop thread.  Callbacks must not block or
+        boundary).  It runs outside any session, on the loop thread or
+        on a free worker between sessions.  Callbacks must not block or
         advance the clock; they observe the instant they fire at."""
         self._push(when, priority, tuple(tiebreak), ("call", fn, label))
 
@@ -302,22 +337,23 @@ class EventScheduler:
         """Suspend the calling session until simulated *deadline*.
 
         Called (via :meth:`SimClock.advance` / ``sleep_until``) from
-        inside a session thread; schedules the wake-up and hands control
-        back to the event loop.  Returns the clock reading on resume —
-        exactly *deadline*, the same float the serial path computes.
+        inside a session thread; schedules the wake-up, then either runs
+        ahead to it (it is the next event) or hands control back to the
+        event loop.  Returns the clock reading on resume — exactly
+        *deadline*, the same float the serial path computes.
         """
-        worker = threading.current_thread()
-        if not (isinstance(worker, _Worker) and worker.scheduler is self):
+        if not self.in_session():
             raise SchedulerError("wait_until() called outside a session")
-        session = worker.session
-        assert session is not None
+        worker = threading.current_thread()
         effective = Priority.DELIVERY if priority is None else priority
         self._push(
             max(deadline, self._clock.now),
             effective,
-            session.tiebreak,
+            worker.session.tiebreak,
             ("resume", worker),
         )
+        if self._dispatch(worker):
+            return self._clock.now
         worker.resume.clear()
         self._control.set()
         worker.resume.wait()
@@ -338,30 +374,13 @@ class EventScheduler:
         if self.in_session():
             raise SchedulerError("run() called from inside a session")
         self._running = True
+        self._until = until
         try:
-            while self._heap and self._failure is None:
-                when = self._heap[0][0]
-                if until is not None and when > until:
-                    break
-                when, priority, tiebreak, _seq, payload = heapq.heappop(self._heap)
-                self._clock._jump_to(when)
-                kind = payload[0]
-                if kind == "resume":
-                    worker = payload[1]
-                    self.stats.resumes += 1
-                    self._record("resume", worker.session)
-                    self._handoff(worker.resume)
-                elif kind == "start":
-                    self._admit(payload[1])
-                elif kind == "call":
-                    _, fn, label = payload
-                    self.stats.timers += 1
-                    self._record_label("timer", label)
-                    fn()
-                else:  # pragma: no cover - defensive
-                    raise AssertionError(f"unknown event kind {kind!r}")
+            while self._dispatch():
+                pass
         finally:
             self._running = False
+            self._until = None
         if self._failure is not None:
             session, error = self._failure
             self._failure = None
@@ -370,13 +389,62 @@ class EventScheduler:
             ) from error
         return self.stats
 
+    def _dispatch(self, runner: Optional[_Worker] = None) -> bool:
+        """The one dispatch step: pop the next due event, jump the clock
+        to it, count and journal it, and run it.
+
+        ``runner`` is the calling worker (``None`` for the loop thread).
+        A worker dispatches only events that run on its own thread: its
+        session's wake-up while it has a session (run-ahead), starts and
+        timers once it is free.  Returns False without dispatching when
+        the caller must stop: the queue is empty, its head lies past
+        ``run(until)``, a session failure is pending, or the head belongs
+        to another thread.
+        """
+        heap = self._heap
+        if not heap or self._failure is not None:
+            return False
+        when, _priority, _tiebreak, _seq, payload = heap[0]
+        if self._until is not None and when > self._until:
+            return False
+        kind = payload[0]
+        if (
+            runner is not None
+            and payload[1] is not runner
+            and (kind == "resume" or runner.session is not None)
+        ):
+            return False
+        heapq.heappop(heap)
+        self._clock._jump_to(when)
+        if kind == "resume":
+            worker = payload[1]
+            self.stats.resumes += 1
+            self._record("resume", worker.session)
+            if worker is not runner:
+                self._handoff(worker.resume)
+        elif kind == "start":
+            self._admit(payload[1], runner)
+        elif kind == "call":
+            _, fn, label = payload
+            self.stats.timers += 1
+            self._record_label("timer", label)
+            fn()
+        else:  # pragma: no cover - defensive
+            raise AssertionError(f"unknown event kind {kind!r}")
+        return True
+
     def _handoff(self, gate: threading.Event) -> None:
-        """Wake one session thread and block until it suspends/finishes."""
+        """Wake one session thread and block until control comes back;
+        re-raise here what a free worker's dispatch raised meanwhile."""
         gate.set()
         self._control.wait()
         self._control.clear()
+        error = self._relayed
+        if error is not None:
+            self._relayed = None
+            raise error
 
-    def _admit(self, session: Session) -> None:
+    def _admit(self, session: Session, runner: Optional[_Worker]) -> None:
         if self._active >= self._max_concurrent:
             if (
                 self._max_queue is not None
@@ -393,9 +461,9 @@ class EventScheduler:
             self.stats.peak_queue = max(self.stats.peak_queue, len(self._admission))
             self._record("queued", session)
             return
-        self._activate(session)
+        self._activate(session, runner)
 
-    def _activate(self, session: Session) -> None:
+    def _activate(self, session: Session, runner: Optional[_Worker]) -> None:
         self._active += 1
         self.stats.peak_active = max(self.stats.peak_active, self._active)
         session.started_at = self._clock.now
@@ -406,14 +474,20 @@ class EventScheduler:
             self._workers.append(worker)
             self.stats.threads_created += 1
             worker.start()
-        worker.session = session
         self._record("start", session)
-        self._handoff(worker.assigned)
+        worker.session = session
+        if runner is None:
+            self._handoff(worker.assigned)
+        else:
+            # A free worker runs the session itself: it tops the idle
+            # stack, so it is the thread the loop would have woken.
+            assert worker is runner
 
     def _finish_session(self, worker: _Worker, session: Session) -> None:
         """Worker-side epilogue (still the single runnable thread):
         release the slot, requeue the worker, pull the next admission,
-        then hand control back to the loop."""
+        then dispatch as a free worker until it starts a session of its
+        own or the next event belongs to another thread."""
         session.done = True
         session.finished_at = self._clock.now
         worker.session = None
@@ -428,7 +502,11 @@ class EventScheduler:
                 self._clock.now, Priority.DISPATCH, queued.tiebreak,
                 ("start", queued),
             )
-        self._control.set()
+        try:
+            while worker.session is None and self._dispatch(worker):
+                pass
+        except BaseException as error:  # noqa: BLE001 - re-raised by run()
+            self._relayed = error
 
     def _note_failure(self, session: Session, error: BaseException) -> None:
         self.stats.failed += 1

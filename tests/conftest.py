@@ -5,7 +5,8 @@ property tests build whole simulated universes per example, and their
 wall-clock time varies with machine load, not with input size.
 
 Also registers the ``--update-golden`` flag used by the golden-file
-regression suite in ``tests/golden/``: run
+regression suite in ``tests/golden/`` and by the scheduler's golden
+journals (``tests/netsim/test_sched_golden.py``): run
 ``pytest tests/golden --update-golden`` to rewrite the pinned JSON
 files after an intentional behaviour change, then commit the diff.
 """
@@ -26,8 +27,9 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden files in tests/golden/ from the current "
-        "code instead of asserting against them",
+        help="rewrite the golden files in tests/golden/ and "
+        "tests/netsim/sched_golden.json from the current code instead of "
+        "asserting against them",
     )
 
 

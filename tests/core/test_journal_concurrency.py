@@ -10,13 +10,16 @@ safe:
   order;
 * **torn-tail healing** — a crash mid-append leaves at most one
   unparseable line, which ``events()`` skips and the next ``record()``
-  terminates, so one torn write never poisons the file.
+  terminates, so one torn write never poisons the file.  Healing must
+  never mistake another appender's half-visible write for a torn tail.
 """
 
 import json
 import multiprocessing
+import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,12 @@ from repro.core import SweepJournal
 
 APPENDERS = 4
 RECORDS_EACH = 25
+
+#: Stress shape: more appender threads than cores, many fresh files.
+STRESS_APPENDERS = 8
+STRESS_RECORDS_EACH = 20
+STRESS_BURSTS = 40
+STRESS_SECONDS = 20.0
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="needs fork")
@@ -67,6 +76,40 @@ def test_concurrent_thread_appenders(tmp_path):
         thread.join()
     _check_burst(path, APPENDERS, RECORDS_EACH)
     assert len(SweepJournal(path).events()) == APPENDERS * RECORDS_EACH
+
+
+def test_heal_never_splits_a_concurrent_append(tmp_path):
+    """Stress the heal-vs-append race: an appender that reads the tail
+    while another's write is only partly visible must not write a stray
+    newline.  Without the journal's lock about one burst in ten left a
+    blank line (one line too many)."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    bursts = 0
+    try:
+        started = time.monotonic()
+        while (
+            bursts < STRESS_BURSTS
+            and time.monotonic() - started < STRESS_SECONDS
+        ):
+            path = tmp_path / f"journal-{bursts}.jsonl"
+            threads = [
+                threading.Thread(
+                    target=_append_burst,
+                    args=(path, writer, STRESS_RECORDS_EACH),
+                )
+                for writer in range(STRESS_APPENDERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=STRESS_SECONDS)
+                assert not thread.is_alive()
+            _check_burst(path, STRESS_APPENDERS, STRESS_RECORDS_EACH)
+            bursts += 1
+    finally:
+        sys.setswitchinterval(previous)
+    assert bursts >= 5
 
 
 @needs_fork

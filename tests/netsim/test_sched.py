@@ -1,6 +1,6 @@
 """The event scheduler's determinism contract.
 
-Three load-bearing properties:
+Four load-bearing properties:
 
 * **Total order** — events dispatch by ``(time, priority, tiebreak,
   seq)``; any legal heap-insertion order of the same logical events
@@ -10,7 +10,13 @@ Three load-bearing properties:
   because the network layer relies on it.
 * **Strict hand-off** — exactly one runnable thread, bounded admission,
   pooled workers; sessions interleave only at clock suspensions.
+* **Dispatch from the thread the next event belongs to** — a session
+  whose own wake-up is next runs ahead without waking the loop, and a
+  worker whose session finished dispatches starts and timers itself, so
+  a stream of disjoint sessions wakes the loop O(1) times, not O(N).
 """
+
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +27,29 @@ from repro.netsim import (
     SchedulerError,
     SimClock,
 )
+
+#: Seconds a scheduler test may take before it is called hung.
+TIMEOUT_S = 30.0
+
+
+def bounded(fn, *args):
+    """Run ``fn(*args)`` on its own thread and return its result; fail
+    if it outlives :data:`TIMEOUT_S` instead of hanging the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            box["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(TIMEOUT_S)
+    assert not thread.is_alive(), f"{fn.__name__} hung"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
 
 
 def make_scheduler(max_concurrent=256):
@@ -405,3 +434,263 @@ def test_serial_clock_without_scheduler_is_untouched():
     clock.sleep_until(3.0)
     clock.sleep_until(1.0)  # past: clamps, no-op
     assert clock.now == 3.0
+
+
+# ----------------------------------------------------------------------
+# Hand-offs: a thread wakes another only for that thread's event
+# ----------------------------------------------------------------------
+
+
+class CountingEvent:
+    """Stands in for the scheduler's control event and counts how often
+    a session thread wakes the loop through it."""
+
+    def __init__(self, event):
+        self.event = event
+        self.sets = 0
+
+    def set(self):
+        self.sets += 1
+        self.event.set()
+
+    def wait(self, timeout=None):
+        return self.event.wait(timeout)
+
+    def clear(self):
+        self.event.clear()
+
+
+def count_loop_wakeups(scheduler):
+    counter = CountingEvent(scheduler._control)
+    scheduler._control = counter
+    return counter
+
+
+def feed_disjoint_sessions(scheduler, count):
+    """A ``call_at`` arrival feeder, as ``drive_replay_sessions`` has: each
+    arrival spawns a two-step session and schedules the next arrival
+    one second later, after that session has finished."""
+    clock = scheduler.clock
+    state = {"index": 0}
+
+    def session():
+        clock.advance(0.1)
+        clock.sleep_until(clock.now + 0.2, priority=Priority.TIMEOUT)
+
+    def arrive():
+        index = state["index"]
+        state["index"] += 1
+        scheduler.spawn(session, label=f"q{index}", tiebreak=(index,))
+        if state["index"] < count:
+            scheduler.call_at(clock.now + 1.0, arrive,
+                              priority=Priority.DISPATCH, label="arrival")
+
+    scheduler.call_at(0.0, arrive, priority=Priority.DISPATCH, label="arrival")
+
+
+@pytest.mark.parametrize("count", [10, 200])
+def test_disjoint_session_stream_wakes_the_loop_a_constant_number_of_times(count):
+    scheduler, journal = make_scheduler()
+    wakeups = count_loop_wakeups(scheduler)
+
+    def play():
+        with scheduler:
+            feed_disjoint_sessions(scheduler, count)
+            return scheduler.run()
+
+    stats = bounded(play)
+    assert stats.completed == count
+    assert stats.resumes == 2 * count
+    assert stats.timers == count
+    assert stats.threads_created == 1
+    # The loop starts the first session; its worker then runs every
+    # later arrival, start and wake-up itself and wakes the loop once,
+    # when the queue is empty.
+    assert wakeups.sets == 1
+    assert [kind for _, kind, _ in journal] == [
+        "timer", "start", "resume", "resume",
+    ] * count
+
+
+def test_a_session_whose_wake_up_is_not_next_still_suspends():
+    scheduler, journal = make_scheduler()
+    clock = scheduler.clock
+    wakeups = count_loop_wakeups(scheduler)
+    log = []
+
+    def session(name, delay):
+        def run():
+            log.append((name, clock.now))
+            clock.advance(delay)
+            log.append((name, clock.now))
+        return run
+
+    def play():
+        with scheduler:
+            scheduler.spawn(session("a", 1.0), at=0.0, label="a", tiebreak=(0,))
+            scheduler.spawn(session("b", 0.25), at=0.25, label="b", tiebreak=(1,))
+            scheduler.run()
+
+    bounded(play)
+    assert journal == [
+        (0.0, "start", "a"),
+        (0.25, "start", "b"),
+        (0.5, "resume", "b"),
+        (1.0, "resume", "a"),
+    ]
+    assert log == [("a", 0.0), ("b", 0.25), ("b", 0.5), ("a", 1.0)]
+    # a suspends (b starts first); b runs ahead to its wake-up, finishes
+    # and wakes the loop for a's wake-up; a finishes on an empty queue.
+    assert wakeups.sets == 3
+
+
+# ----------------------------------------------------------------------
+# Worker-path semantics
+# ----------------------------------------------------------------------
+
+
+def test_timer_raising_on_a_free_worker_surfaces_from_run():
+    scheduler, journal = make_scheduler()
+    clock = scheduler.clock
+    seen = {}
+    error = ValueError("window boundary broke")
+
+    def boom():
+        seen["thread"] = threading.current_thread()
+        raise error
+
+    def play():
+        with scheduler:
+            scheduler.spawn(lambda: clock.advance(0.1), label="s0")
+            scheduler.call_at(1.0, boom, label="boom")
+            scheduler.call_at(2.0, lambda: None, label="later")
+            seen["loop"] = threading.current_thread()
+            with pytest.raises(ValueError) as info:
+                scheduler.run()
+            seen["raised"] = info.value
+            (worker,) = scheduler._workers
+            # The worker survives and the loop still drives it.
+            assert worker.is_alive()
+            assert clock.now == 1.0 and scheduler.pending() == 1
+            scheduler.spawn(lambda: clock.advance(0.5), at=3.0, label="s1")
+            return scheduler.run()
+
+    stats = bounded(play)
+    assert seen["thread"] is not seen["loop"]  # a worker dispatched it
+    assert seen["raised"] is error
+    assert stats.completed == 2 and stats.threads_created == 1
+    assert journal == [
+        (0.0, "start", "s0"),
+        (0.1, "resume", "s0"),
+        (1.0, "timer", "boom"),
+        (2.0, "timer", "later"),
+        (3.0, "start", "s1"),
+        (3.5, "resume", "s1"),
+    ]
+
+
+def test_workers_never_dispatch_past_run_until():
+    scheduler, journal = make_scheduler()
+    clock = scheduler.clock
+    log = []
+
+    def first():
+        clock.advance(0.5)
+        log.append(("first", clock.now))
+        clock.advance(2.0)  # wakes at 2.5, past until
+        log.append(("first", clock.now))
+
+    def play():
+        with scheduler:
+            scheduler.spawn(first, label="first")
+            scheduler.spawn(lambda: log.append(("second", clock.now)),
+                            at=1.0, label="second")
+            scheduler.spawn(lambda: log.append(("third", clock.now)),
+                            at=1.5, label="third")
+            scheduler.call_at(1.2, lambda: log.append(("timer", clock.now)),
+                              label="timer")
+            scheduler.run(until=1.1)
+            stopped = (clock.now, scheduler.pending(), list(log),
+                       list(journal))
+            scheduler.run()
+            return stopped
+
+    now, pending, log_at_until, journal_at_until = bounded(play)
+    # The free worker that ran "second" stops at the 1.2 timer; "first"
+    # suspends instead of running ahead to 2.5.
+    assert now == 1.0
+    assert pending == 3
+    assert log_at_until == [("first", 0.5), ("second", 1.0)]
+    assert journal_at_until == [
+        (0.0, "start", "first"),
+        (0.5, "resume", "first"),
+        (1.0, "start", "second"),
+    ]
+    assert log == [("first", 0.5), ("second", 1.0), ("timer", 1.2),
+                   ("third", 1.5), ("first", 2.5)]
+
+
+def test_timer_callbacks_are_never_in_a_session():
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    seen = []
+
+    def callback(name, delta):
+        def run():
+            seen.append((name, scheduler.in_session(), clock.now,
+                         clock.advance(delta)))
+        return run
+
+    def play():
+        with scheduler:
+            seen.append(("loop-thread", threading.current_thread()))
+            scheduler.spawn(lambda: clock.advance(0.1), label="s")
+            # Runs on the loop: the session is suspended until 0.1.
+            scheduler.call_at(0.0, callback("on-loop", 0.05), label="a")
+            # Runs on the free worker once the session has finished.
+            scheduler.call_at(1.0, callback("on-worker", 0.5), label="b")
+            scheduler.call_at(2.0, lambda: seen.append(
+                ("after", threading.current_thread(), clock.now)), label="c")
+            scheduler.run()
+
+    bounded(play)
+    loop_thread = seen[0][1]
+    assert seen[1] == ("on-loop", False, 0.0, 0.05)
+    # A callback's advance mutates the clock on whatever thread runs it.
+    assert seen[2] == ("on-worker", False, 1.0, 1.5)
+    name, thread, now = seen[3]
+    assert name == "after" and now == 2.0
+    assert thread is not loop_thread  # the worker really ran the timers
+
+
+def test_close_after_a_failed_run_aborts_suspended_sessions():
+    scheduler, _ = make_scheduler()
+    clock = scheduler.clock
+    log = []
+
+    def sleeper():
+        try:
+            clock.advance(5.0)
+            log.append("resumed")
+        finally:
+            log.append("unwound")
+
+    def boom():
+        clock.advance(0.5)
+        raise KeyError("cache")
+
+    def play():
+        scheduler.spawn(sleeper, label="sleeper")
+        scheduler.spawn(boom, at=1.0, label="boom")
+        with pytest.raises(SchedulerError, match="boom"):
+            scheduler.run()
+        workers = list(scheduler._workers)
+        assert len(workers) == 2
+        scheduler.close()
+        return workers
+
+    workers = bounded(play)
+    assert log == ["unwound"]
+    assert not any(worker.is_alive() for worker in workers)
+    assert scheduler.stats.failed == 1
+    assert scheduler.clock.scheduler is None
