@@ -5,10 +5,19 @@ Zone owners deposit DLV records (DS-shaped trust anchors, RFC 4431);
 resolvers query ``<domain>.<registry-origin>`` with type DLV.
 
 The zone view here is *synthetic*: instead of materialising hundreds of
-thousands of RRsets, it keeps a sorted list of registered owner names
-and constructs DLV answers, covering NSEC (or NSEC3) denials, and lazy
-RRSIGs on demand.  That keeps top-100k leakage sweeps cheap while
-serving byte-accurate responses.
+thousands of RRsets, it indexes each deposit by its owner's labels
+below the registry origin -- the domain's own labels, or the single
+hash label in hashed mode.  One set of those relative suffixes tells
+owners and empty non-terminals from non-existent names, and the NSEC
+chain keeps the owners in canonical order, the origin first.  Owner
+names, covering NSEC (or NSEC3) denials and RRSIGs are built only for
+the answers served (the hashed-denial modes hash every owner name once,
+at build).  A deposit arrives as the depositor's key set; the zone
+makes its DLV rdata from the KSK the first time an answer needs it and
+keeps it in place of the key set.  Building a registry thus costs a few
+set, dict and sort operations per deposit, which keeps the calibrated
+60,000-entry registry and top-100k leakage sweeps cheap while serving
+byte-accurate responses.
 
 Operating modes map to the paper's scenarios:
 
@@ -18,6 +27,8 @@ Operating modes map to the paper's scenarios:
   deposits live under ``crypto_hash(domain)`` labels.
 * ``nsec3``   — denial via NSEC3 (Section 7.3): the resolver cannot
   reuse denials, so every query reaches the registry.
+* ``nsec5``   — NSEC5 (Section 7.3), served with the NSEC3 machinery:
+  denials cannot be reused and the zone cannot be walked.
 * the ISC phase-out (Section 7.3.2) is simply a registry with zero
   deposits: the zone answers, but every query is a Case-2 leak.
 """
@@ -26,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..crypto import hash_domain_label, make_dlv, nsec3_owner_label
 from ..crypto.keys import ZoneKeySet
@@ -55,6 +66,9 @@ from .authoritative import AuthoritativeServer
 _NSEC3_SALT = b"\xd1\x5e"
 _NSEC3_ITERATIONS = 5
 
+#: Types present at every deposit owner (the apex has its own set).
+_OWNER_TYPES = frozenset({RRType.DLV, RRType.RRSIG, RRType.NSEC})
+
 
 class DenialMode(enum.Enum):
     """How the registry proves non-existence.
@@ -79,6 +93,11 @@ class DenialMode(enum.Enum):
         return self is DenialMode.NSEC
 
 
+#: What a depositor hands the registry: its DLV rdata, or its key set,
+#: from whose KSK the registry makes the rdata.
+Deposit = Union[DLVRdata, ZoneKeySet]
+
+
 class DlvRegistryZone:
     """Synthetic zone view over a set of DLV deposits."""
 
@@ -86,7 +105,7 @@ class DlvRegistryZone:
         self,
         origin: Name,
         keyset: ZoneKeySet,
-        deposits: Mapping[Name, DLVRdata],
+        deposits: Mapping[Name, Deposit],
         ns_host: Optional[Name] = None,
         ns_address: str = "192.0.2.200",
         hashed: bool = False,
@@ -98,28 +117,32 @@ class DlvRegistryZone:
         self.hashed = hashed
         self.denial = denial
         self.ttl = ttl
-        self._deposits_by_domain = dict(deposits)
-        self._owners: Dict[Name, DLVRdata] = {}
-        for domain, rdata in deposits.items():
-            self._owners[self.registered_name(domain)] = rdata
-        # Existence set: owners plus empty non-terminals.
-        self._names = {origin}
-        for owner in self._owners:
-            current = owner
-            while current != origin and current not in self._names:
-                self._names.add(current)
-                current = current.parent()
-        self._sorted_owners: List[Name] = sorted(
-            set(self._owners) | {origin}, key=Name.canonical_key
+        self._origin_labels = origin.labels
+        self._deposits: Dict[Name, Deposit] = dict(deposits)
+        # Registry-relative labels of each deposit's owner -> domain.
+        self._owners: Dict[Tuple[str, ...], Name] = {
+            self._relative_owner(domain): domain for domain in self._deposits
+        }
+        # Existence set: owners, empty non-terminals and the origin.
+        self._names = {()}
+        for relative in self._owners:
+            while relative not in self._names:
+                self._names.add(relative)
+                relative = relative[1:]
+        # The NSEC chain: each owner's relative labels reversed, sorted.
+        # Lowercase ASCII labels compare as their octets do, so this is
+        # DNSSEC canonical order, with the origin's () first.
+        self._chain: List[Tuple[str, ...]] = sorted(
+            relative[::-1] for relative in self._owners.keys() | {()}
         )
-        self._sorted_keys = [name.canonical_key() for name in self._sorted_owners]
         if not denial.allows_aggressive_caching:
             # NSEC3 and NSEC5 both deny existence via hashed owners.
-            hashed_pairs = sorted(
-                nsec3_owner_label(name, _NSEC3_SALT, _NSEC3_ITERATIONS)
-                for name in self._sorted_owners
+            self._nsec3_labels = sorted(
+                nsec3_owner_label(
+                    self._owner_name(key), _NSEC3_SALT, _NSEC3_ITERATIONS
+                )
+                for key in self._chain
             )
-            self._nsec3_labels = hashed_pairs
         # Apex RRsets.
         ns_host = ns_host or origin.prepend("ns1")
         self._apex: Dict[RRType, RRset] = {
@@ -129,6 +152,7 @@ class DlvRegistryZone:
                 origin, RRType.DNSKEY, ttl, tuple(keyset.dnskeys())
             ),
         }
+        self._apex_types = frozenset(self._apex) | {RRType.RRSIG, RRType.NSEC}
         self._glue = (
             RRset(ns_host, RRType.A, ttl, (A(ns_address),))
             if ns_host.is_subdomain_of(origin)
@@ -140,24 +164,43 @@ class DlvRegistryZone:
     # Deposit bookkeeping
     # ------------------------------------------------------------------
 
+    def _relative_owner(self, domain: Name) -> Tuple[str, ...]:
+        """The labels, below the origin, of *domain*'s deposit owner."""
+        if self.hashed:
+            return (hash_domain_label(domain),)
+        return domain.labels
+
+    def _owner_name(self, key: Tuple[str, ...]) -> Name:
+        """The owner name behind a key of the NSEC chain."""
+        return Name(key[::-1] + self._origin_labels)
+
     def registered_name(self, domain: Name) -> Name:
         """The owner name a deposit for *domain* lives under."""
-        if self.hashed:
-            return self.origin.prepend(hash_domain_label(domain))
-        return domain.concatenate(self.origin)
+        return Name(self._relative_owner(domain) + self._origin_labels)
 
     def has_deposit(self, domain: Name) -> bool:
-        return domain in self._deposits_by_domain
+        return domain in self._deposits
 
     def has_owner(self, owner: Name) -> bool:
         """Is there a DLV RRset at this exact owner name?"""
-        return owner in self._owners
+        if not owner.is_subdomain_of(self.origin):
+            return False
+        return owner.relativize(self.origin) in self._owners
 
     def deposit_count(self) -> int:
-        return len(self._deposits_by_domain)
+        return len(self._deposits)
 
     def deposited_domains(self) -> Iterable[Name]:
-        return self._deposits_by_domain.keys()
+        return self._deposits.keys()
+
+    def _dlv(self, domain: Name) -> DLVRdata:
+        """*domain*'s DLV rdata.  A key-set deposit is turned into its
+        rdata the first time an answer needs it, in place."""
+        deposit = self._deposits[domain]
+        if isinstance(deposit, ZoneKeySet):
+            deposit = make_dlv(domain, deposit.ksk.dnskey)
+            self._deposits[domain] = deposit
+        return deposit
 
     # ------------------------------------------------------------------
     # Signing helpers (lazy, cached)
@@ -183,14 +226,18 @@ class DlvRegistryZone:
     # ------------------------------------------------------------------
 
     def covering_nsec(self, qname: Name) -> RRset:
-        index = bisect.bisect_right(self._sorted_keys, qname.canonical_key()) - 1
-        if index < 0:
-            index = len(self._sorted_owners) - 1
-        owner = self._sorted_owners[index]
-        next_owner = self._sorted_owners[(index + 1) % len(self._sorted_owners)]
-        types = self._types_at(owner)
-        nsec = NSEC(next_name=next_owner, types=frozenset(types))
-        return RRset(owner, RRType.NSEC, self.ttl, (nsec,))
+        chain = self._chain
+        labels = qname.labels
+        relative = labels[: len(labels) - len(self._origin_labels)]
+        # The origin's key () sorts first, so every in-zone name has a
+        # predecessor in the chain.
+        index = bisect.bisect_right(chain, relative[::-1]) - 1
+        key = chain[index]
+        nsec = NSEC(
+            next_name=self._owner_name(chain[(index + 1) % len(chain)]),
+            types=_OWNER_TYPES if key else self._apex_types,
+        )
+        return RRset(self._owner_name(key), RRType.NSEC, self.ttl, (nsec,))
 
     def covering_nsec3(self, qname: Name) -> RRset:
         qhash = nsec3_owner_label(qname, _NSEC3_SALT, _NSEC3_ITERATIONS)
@@ -210,13 +257,6 @@ class DlvRegistryZone:
         )
         return RRset(self.origin.prepend(owner_label), RRType.NSEC3, self.ttl, (rdata,))
 
-    def _types_at(self, owner: Name) -> set:
-        if owner == self.origin:
-            types = set(self._apex) | {RRType.RRSIG, RRType.NSEC}
-        else:
-            types = {RRType.DLV, RRType.RRSIG, RRType.NSEC}
-        return types
-
     # ------------------------------------------------------------------
     # Lookup (ZoneView protocol)
     # ------------------------------------------------------------------
@@ -226,18 +266,20 @@ class DlvRegistryZone:
             raise ZoneError(
                 f"{qname.to_text()} is not in registry zone {self.origin.to_text()}"
             )
-        if qname == self.origin:
+        labels = qname.labels
+        relative = labels[: len(labels) - len(self._origin_labels)]
+        if not relative:
             return self._apex_lookup(qtype, dnssec_ok)
-        rdata = self._owners.get(qname)
-        if rdata is not None:
+        domain = self._owners.get(relative)
+        if domain is not None:
             if qtype is RRType.DLV:
-                rrset = RRset(qname, RRType.DLV, self.ttl, (rdata,))
+                rrset = RRset(qname, RRType.DLV, self.ttl, (self._dlv(domain),))
                 answer = [rrset]
                 if dnssec_ok:
                     answer.append(self._rrsig(rrset))
                 return LookupResult(LookupOutcome.ANSWER, answer=tuple(answer))
             return self._negative(qname, LookupOutcome.NODATA, dnssec_ok)
-        if qname in self._names:
+        if relative in self._names:
             # Empty non-terminal (e.g. com.dlv.isc.org): exists, no data.
             return self._negative(qname, LookupOutcome.NODATA, dnssec_ok)
         return self._negative(qname, LookupOutcome.NXDOMAIN, dnssec_ok)
@@ -289,21 +331,19 @@ class DLVRegistryServer(AuthoritativeServer):
         """Build a registry from depositing zones' key sets.
 
         ``deposits`` maps each depositing domain to the key set whose KSK
-        the DLV record must authenticate.  ``extra_owners`` lets callers
+        the DLV record must authenticate; the zone makes the record the
+        first time an answer needs it.  ``extra_owners`` lets callers
         add background entries (registered domains that the experiment
         never queries but that shape the NSEC chain, mirroring the real
         registry's population).
         """
-        rdata_map: Dict[Name, DLVRdata] = {
-            domain: make_dlv(domain, keyset_.ksk.dnskey)
-            for domain, keyset_ in deposits.items()
-        }
+        merged: Dict[Name, Deposit] = dict(deposits)
         if extra_owners:
-            rdata_map.update(extra_owners)
+            merged.update(extra_owners)
         zone = DlvRegistryZone(
             origin=origin,
             keyset=keyset,
-            deposits=rdata_map,
+            deposits=merged,
             hashed=hashed,
             denial=denial,
             ttl=ttl,

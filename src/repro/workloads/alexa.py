@@ -20,6 +20,7 @@ properties the experiments exercise:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -102,6 +103,10 @@ class WorkloadParams:
     token_zipf_s: float = 0.9
 
 
+#: The letters of a uniform (filler) label.
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
 class NameGenerator:
     """Seeded generator of plausible, clustered domain labels."""
 
@@ -120,14 +125,19 @@ class NameGenerator:
                 "".join(rng.choice(self._SYLLABLES) for _ in range(syllable_count))
             )
         self._vocabulary = vocabulary
-        # Zipf weights over the vocabulary.
+        # Zipf weights over the vocabulary, accumulated once: choices()
+        # would accumulate them on every call with ``weights=``.
         s = params.token_zipf_s
         weights = [1.0 / (rank + 1) ** s for rank in range(len(vocabulary))]
         total = sum(weights)
-        self._weights = [w / total for w in weights]
+        self._cum_weights = list(
+            itertools.accumulate(w / total for w in weights)
+        )
 
     def token(self) -> str:
-        return self._rng.choices(self._vocabulary, weights=self._weights, k=1)[0]
+        return self._rng.choices(
+            self._vocabulary, cum_weights=self._cum_weights, k=1
+        )[0]
 
     def label(self) -> str:
         """One SLD label: one or two Zipf tokens, occasionally a digit."""
@@ -144,8 +154,16 @@ class NameGenerator:
         """A uniformly random label — used for registry filler entries so
         their density does NOT track query clustering (see module docs)."""
         length = self._rng.randrange(*length_range)
-        alphabet = "abcdefghijklmnopqrstuvwxyz"
-        return "".join(self._rng.choice(alphabet) for _ in range(length))
+        getrandbits = self._rng.getrandbits
+        letters = []
+        for _ in range(length):
+            # random.choice over 26 letters, inlined: 5-bit draws with
+            # 26..31 rejected, the same calls on the same generator.
+            index = getrandbits(5)
+            while index >= 26:
+                index = getrandbits(5)
+            letters.append(_ALPHABET[index])
+        return "".join(letters)
 
 
 class AlexaWorkload:
@@ -252,7 +270,9 @@ class AlexaWorkload:
             if cached is not None:
                 return list(cached)
         filler_tlds = list(tld_weights)
-        filler_weights = [tld_weights[label] for label in filler_tlds]
+        filler_cum_weights = list(
+            itertools.accumulate(tld_weights[label] for label in filler_tlds)
+        )
         # Independent RNG: the filler population must not depend on how
         # many workload domains were generated before it.
         rng = random.Random(self.params.seed ^ 0xF111E4)
@@ -263,7 +283,9 @@ class AlexaWorkload:
             name = Name(
                 [
                     generator.uniform_label(),
-                    rng.choices(filler_tlds, weights=filler_weights, k=1)[0],
+                    rng.choices(
+                        filler_tlds, cum_weights=filler_cum_weights, k=1
+                    )[0],
                 ]
             )
             if name in seen:

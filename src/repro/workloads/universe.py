@@ -28,7 +28,7 @@ import dataclasses
 import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..crypto import KeyPool, make_dlv
+from ..crypto import KeyPool, ZoneKeySet
 from ..dnscore import (
     A,
     AAAA,
@@ -183,22 +183,20 @@ class Universe:
         params = self.params
         self.registry_origin = params.registry_origin
         self.registry_keys = self.keys.keys_for_zone(self.registry_origin)
-        deposits: Dict[Name, object] = {}
+        deposits: Dict[Name, ZoneKeySet] = {}
         if not params.registry_empty:
             for spec in self.domains:
                 if spec.dlv_deposited:
-                    owner_keys = self.keys.keys_for_zone(spec.name)
-                    deposits[spec.name] = make_dlv(spec.name, owner_keys.ksk.dnskey)
+                    deposits[spec.name] = self.keys.keys_for_zone(spec.name)
             for filler in params.registry_filler:
                 if filler not in deposits:
-                    filler_keys = self.keys.keys_for_zone(filler)
-                    deposits[filler] = make_dlv(filler, filler_keys.ksk.dnskey)
+                    deposits[filler] = self.keys.keys_for_zone(filler)
         self.registry_address = self._next_address()
         registry_ns_host = self.registry_origin.prepend("ns1")
         self.registry_zone = DlvRegistryZone(
             origin=self.registry_origin,
             keyset=self.registry_keys,
-            deposits=deposits,  # type: ignore[arg-type]
+            deposits=deposits,
             ns_host=registry_ns_host,
             ns_address=self.registry_address,
             hashed=params.registry_hashed,
