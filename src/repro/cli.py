@@ -12,7 +12,7 @@ Commands:
   span tree, per-observer leak summary, and metric counters.
 * ``profile``  — cProfile one fig8-style cell (optionally cache-warm or
   with hot-path caches disabled) and report the hot functions plus
-  cache statistics.
+  cache statistics and the garbage collector's share.
 * ``store``    — inspect the crash-safe sweep result store:
   ``ls`` committed cells, ``verify`` payload + fingerprint integrity,
   ``gc`` temp/corrupt/stale-version/lease files.
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
+import time
 from typing import List, Optional
 
 from . import __version__
@@ -672,13 +674,31 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         LeakageExperiment(universe, correct_bind_config()).run(
             workload.names(args.domains)
         )
+    # cProfile charges a garbage collection to whichever function
+    # allocated when it began, so the collector is counted apart.
+    collections = [0, 0, 0]
+    collector_s = 0.0
+    started: List[float] = []
+
+    def watch_collector(phase: str, info: dict) -> None:
+        nonlocal collector_s
+        if phase == "start":
+            started.append(time.perf_counter())
+        elif started:
+            collections[info["generation"]] += 1
+            collector_s += time.perf_counter() - started.pop()
+
     profiler = cProfile.Profile()
-    profiler.enable()
-    workload = standard_workload(args.domains)
-    universe = standard_universe(workload, filler_count=args.filler)
-    experiment = LeakageExperiment(universe, correct_bind_config())
-    experiment.run(workload.names(args.domains))
-    profiler.disable()
+    gc.callbacks.append(watch_collector)
+    try:
+        profiler.enable()
+        workload = standard_workload(args.domains)
+        universe = standard_universe(workload, filler_count=args.filler)
+        experiment = LeakageExperiment(universe, correct_bind_config())
+        experiment.run(workload.names(args.domains))
+        profiler.disable()
+    finally:
+        gc.callbacks.remove(watch_collector)
     if args.output:
         profiler.dump_stats(args.output)
         print(f"profile written to {args.output} (inspect with pstats/snakeviz)")
@@ -691,6 +711,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for name, stats_dict in cache_lines.items():
             rendered = " ".join(f"{k}={v}" for k, v in stats_dict.items())
             print(f"  {name}: {rendered}")
+    gen0, gen1, gen2 = collections
+    print(
+        f"Garbage collector: {gen0} gen0, {gen1} gen1, {gen2} gen2 "
+        f"collections in {collector_s:.3f} s"
+    )
     return 0
 
 

@@ -15,9 +15,10 @@ without losing a cell to a dead worker:
 * workers **skip committed cells**, claim uncommitted ones, and **take
   over** cells whose lease heartbeat has expired: ``kill -9`` a worker
   mid-cell and a peer finishes its cell after the TTL.  Takeover is
-  arbitrated by ``os.rename`` of the expired lease (exactly one
-  renamer wins) followed by a fresh ``O_EXCL`` claim carrying a bumped
-  token;
+  arbitrated by an exclusive ``flock`` on the lease directory: the
+  winner re-reads the expired lease and replaces it, in one
+  ``os.replace``, with a lease carrying a bumped token, so the lease
+  path is never empty mid-takeover;
 * a **zombie** (a worker that stalled past its TTL and lost its lease)
   detects the foreign fencing token before and after committing: its
   late commit is a *detected no-op* — the store's idempotent commits
@@ -56,7 +57,9 @@ executor in :mod:`repro.core.parallel` honours.
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import itertools
 import json
@@ -75,6 +78,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -197,6 +201,32 @@ def read_lease(path: Path) -> Optional[Lease]:
         return None
 
 
+def _temp_path(path: Path) -> Path:
+    """A private temp name beside *path*, unique per process and call,
+    so threads writing the same lease never share one."""
+    return path.with_suffix(
+        path.suffix + f".tmp.{os.getpid()}.{next(_NONCE_COUNTER)}"
+    )
+
+
+@contextlib.contextmanager
+def _lease_lock(path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on the lease's directory.
+
+    Takeover, renewal and release each read a lease, check it and
+    rewrite or remove it; under this lock no other contender acts
+    between the read and the write.  Fresh claims need no lock: the
+    exclusive link arbitrates them.  The lock is not reentrant.
+    """
+    descriptor = os.open(Path(path).parent, os.O_RDONLY)
+    try:
+        # Released when the descriptor closes.
+        fcntl.flock(descriptor, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(descriptor)
+
+
 def _write_lease_excl(path: Path, lease: Lease) -> bool:
     """Create *path* exclusively — the claim arbitration.  Returns
     False when somebody else's lease already exists.
@@ -209,7 +239,7 @@ def _write_lease_excl(path: Path, lease: Lease) -> bool:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
+    temp = _temp_path(path)
     with open(temp, "w", encoding="utf-8") as handle:
         handle.write(lease.to_json())
         handle.flush()
@@ -224,9 +254,10 @@ def _write_lease_excl(path: Path, lease: Lease) -> bool:
 
 
 def _rewrite_lease(path: Path, lease: Lease) -> None:
-    """Atomically replace *path* (heartbeat refresh): same-directory
-    temp file, fsync, ``os.replace``."""
-    temp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
+    """Atomically replace *path* (heartbeat refresh, takeover):
+    same-directory temp file, fsync, ``os.replace``.  A crash leaves
+    the old lease or the new one, never an empty path."""
+    temp = _temp_path(path)
     with open(temp, "w", encoding="utf-8") as handle:
         handle.write(lease.to_json())
         handle.flush()
@@ -254,9 +285,12 @@ def claim_cell(
 
     * no lease → ``O_EXCL`` create, token 1 (``fresh``);
     * live lease → ``None`` (someone else owns the cell);
-    * expired lease → ``os.rename`` it aside (exactly one renamer
-      wins), then ``O_EXCL`` create with ``token+1`` (``takeover``);
-    * corrupt lease → same rename arbitration, token restarts at 1 but
+    * expired lease → under :func:`_lease_lock`, re-read it and, if it
+      is still expired, replace it in one ``os.replace`` with a lease
+      carrying ``token+1`` (``takeover``).  Exactly one contender
+      wins, and the path always holds the old lease or the new one,
+      so no peer can find it empty and claim the cell ``fresh``;
+    * corrupt lease → the same arbitration, token restarts at 1 but
       the nonce keeps the fence unambiguous (``corrupt``).
     """
     path = Path(path)
@@ -279,28 +313,24 @@ def claim_cell(
         return None
     if current is not None and not current.expired(now):
         return None
-    # Dead or corrupt lease: arbitrate the takeover by renaming it
-    # aside — os.rename succeeds for exactly one contender.
-    stale = path.with_suffix(path.suffix + f".stale.{os.getpid()}")
-    try:
-        os.rename(path, stale)
-    except FileNotFoundError:
-        return None  # another taker won
-    try:
-        os.unlink(stale)
-    except OSError:
-        pass
-    taken = dataclasses.replace(
-        fresh,
-        nonce=_new_nonce(owner),
-        token=(current.token + 1) if current is not None else 1,
-        takeovers=(current.takeovers + 1) if current is not None else 1,
-        acquired=clock(),
-        heartbeat=clock(),
-    )
-    if not _write_lease_excl(path, taken):
-        # A fresh claimant slipped in between our rename and create.
-        return None
+    # Dead or corrupt lease: check it again under the lock, since
+    # another contender may have taken it over since we read it.
+    with _lease_lock(path):
+        try:
+            current = read_lease(path)
+        except FileNotFoundError:
+            return None
+        if current is not None and not current.expired(now):
+            return None  # another taker won
+        taken = dataclasses.replace(
+            fresh,
+            nonce=_new_nonce(owner),
+            token=(current.token + 1) if current is not None else 1,
+            takeovers=(current.takeovers + 1) if current is not None else 1,
+            acquired=clock(),
+            heartbeat=clock(),
+        )
+        _rewrite_lease(path, taken)
     return ClaimResult(taken, "takeover" if current is not None else "corrupt")
 
 
@@ -315,13 +345,14 @@ def renew_lease(
     detected duplicate, and must not touch the new owner's lease.
     """
     try:
-        current = read_lease(path)
+        with _lease_lock(path):
+            current = read_lease(path)
+            if current is None or not lease.same_claim(current):
+                raise Fenced(f"lease for {lease.cell} was taken over")
+            renewed = dataclasses.replace(lease, heartbeat=clock())
+            _rewrite_lease(path, renewed)
     except FileNotFoundError:
         raise Fenced(f"lease for {lease.cell} disappeared")
-    if current is None or not lease.same_claim(current):
-        raise Fenced(f"lease for {lease.cell} was taken over")
-    renewed = dataclasses.replace(lease, heartbeat=clock())
-    _rewrite_lease(path, renewed)
     return renewed
 
 
@@ -329,13 +360,11 @@ def release_lease(path: Path, lease: Lease) -> bool:
     """Remove the lease if this worker still holds it.  Returns False
     (and leaves the file alone) when the claim was fenced away."""
     try:
-        current = read_lease(path)
-    except FileNotFoundError:
-        return False
-    if current is None or not lease.same_claim(current):
-        return False
-    try:
-        os.unlink(path)
+        with _lease_lock(path):
+            current = read_lease(path)
+            if current is None or not lease.same_claim(current):
+                return False
+            os.unlink(path)
     except OSError:
         return False
     return True

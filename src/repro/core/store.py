@@ -100,6 +100,11 @@ class StoreError(Exception):
 # Canonical digests
 # ----------------------------------------------------------------------
 
+#: Exact types :func:`_canonicalize` returns unchanged.  Subclasses
+#: (``IntEnum`` members, ``str`` subclasses) take the generic path.
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonicalize(value: Any) -> Any:
     """Reduce *value* to JSON-safe plain data, deterministically.
 
@@ -108,7 +113,22 @@ def _canonicalize(value: Any) -> Any:
     value; sets sort; callables reduce to their qualified name (with
     ``functools.partial`` flattened, which covers the repository's
     picklable universe factories).
+
+    Plain scalars, lists, tuples and dicts are dispatched on their
+    exact type before the generic chain; the output is byte-for-byte
+    what the chain alone gives (``tests/core/test_store_digest.py``),
+    so every stored address and digest stays valid.
     """
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is list or kind is tuple:
+        return [_canonicalize(item) for item in value]
+    if kind is dict:
+        return {
+            str(key): _canonicalize(value[key])
+            for key in sorted(value, key=str)
+        }
     if isinstance(value, enum.Enum):
         return {"__enum__": type(value).__qualname__, "value": value.value}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -143,7 +163,7 @@ def _canonicalize(value: Any) -> Any:
         return sorted(_canonicalize(item) for item in value)
     if isinstance(value, (list, tuple)):
         return [_canonicalize(item) for item in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int, float)):
         return value
     return repr(value)
 
@@ -583,8 +603,9 @@ class ResultStore:
         * ``lease_corrupt`` — unparseable lease files older than
           :data:`GC_LEASE_GRACE_SECONDS` (a *fresh* torn lease is left
           for the workers' own takeover arbitration to consume);
-        * ``lease_stale`` — ``*.lease.stale.*`` remnants of takeover
-          renames that crashed between rename and unlink;
+        * ``lease_stale`` — ``*.lease.stale.*`` remnants of the
+          rename-aside takeover of earlier versions, left by a crash
+          between rename and unlink;
         * ``stale`` — unless ``all_versions``, cells keyed under other
           code versions.
         """

@@ -9,11 +9,20 @@ The header layout (RFC 1035 section 4.1.1, RFC 2535 for AD/CD)::
 
 The single remaining reserved bit ``Z`` is the one the paper proposes to
 repurpose for DLV signalling (Section 6.2.1, "Using Z Bit").
+
+Header values are shared: :meth:`HeaderFlags.shared`, :meth:`Edns.shared`
+and the wire decoders return one instance per distinct value, so the
+thousands of messages of a cell hold, pickle and collect a handful of
+header objects instead of one per packet.  Each table is bounded (one
+entry per 16-bit header word, per payload size and DO bit) and holds
+frozen values that cannot go stale, so it is always on and is not a
+``repro.perf`` cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict, Tuple
 
 from .constants import Opcode, RCode
 
@@ -33,6 +42,12 @@ _RCODE_MASK = 0x000F
 
 #: EDNS0 flag: DNSSEC OK (RFC 3225), carried in the OPT record TTL field.
 EDNS_DO = 0x8000
+
+#: The shared instances, keyed by their fields.  Only canonical keys
+#: (bools and enum members) are stored, and only after the value was
+#: built, so a failed build caches nothing.
+_SHARED_FLAGS: Dict[tuple, "HeaderFlags"] = {}
+_SHARED_EDNS: Dict[Tuple[int, bool], "Edns"] = {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,10 +88,39 @@ class HeaderFlags:
         return word
 
     @classmethod
+    def shared(
+        cls,
+        qr: bool = False,
+        opcode: Opcode = Opcode.QUERY,
+        aa: bool = False,
+        tc: bool = False,
+        rd: bool = False,
+        ra: bool = False,
+        z: bool = False,
+        ad: bool = False,
+        cd: bool = False,
+        rcode: RCode = RCode.NOERROR,
+    ) -> "HeaderFlags":
+        """The shared instance equal to ``HeaderFlags(...)`` of the same
+        fields.  An opcode or rcode outside its enum raises
+        ``ValueError``."""
+        key = (qr, opcode, aa, tc, rd, ra, z, ad, cd, rcode)
+        flags = _SHARED_FLAGS.get(key)
+        if flags is None:
+            canonical = (
+                bool(qr), Opcode(opcode), bool(aa), bool(tc), bool(rd),
+                bool(ra), bool(z), bool(ad), bool(cd), RCode(rcode),
+            )
+            flags = _SHARED_FLAGS.setdefault(canonical, cls(*canonical))
+        return flags
+
+    @classmethod
     def from_wire(cls, word: int) -> "HeaderFlags":
-        return cls(
+        """The shared instance for a header word; ``ValueError`` for an
+        unknown opcode or rcode."""
+        return cls.shared(
             qr=bool(word & QR),
-            opcode=Opcode((word & _OPCODE_MASK) >> _OPCODE_SHIFT),
+            opcode=(word & _OPCODE_MASK) >> _OPCODE_SHIFT,
             aa=bool(word & AA),
             tc=bool(word & TC),
             rd=bool(word & RD),
@@ -84,11 +128,11 @@ class HeaderFlags:
             z=bool(word & Z),
             ad=bool(word & AD),
             cd=bool(word & CD),
-            rcode=RCode(word & _RCODE_MASK),
+            rcode=word & _RCODE_MASK,
         )
 
     def replace(self, **changes) -> "HeaderFlags":
-        return dataclasses.replace(self, **changes)
+        return self.shared(**{**dataclasses.asdict(self), **changes})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,5 +155,16 @@ class Edns:
         return EDNS_DO if self.dnssec_ok else 0
 
     @classmethod
+    def shared(
+        cls, udp_payload_size: int = 4096, dnssec_ok: bool = False
+    ) -> "Edns":
+        """The shared instance equal to ``Edns(...)`` of the same fields."""
+        edns = _SHARED_EDNS.get((udp_payload_size, dnssec_ok))
+        if edns is None:
+            canonical = (udp_payload_size, bool(dnssec_ok))
+            edns = _SHARED_EDNS.setdefault(canonical, cls(*canonical))
+        return edns
+
+    @classmethod
     def from_ttl_field(cls, udp_payload_size: int, ttl: int) -> "Edns":
-        return cls(udp_payload_size=udp_payload_size, dnssec_ok=bool(ttl & EDNS_DO))
+        return cls.shared(udp_payload_size, bool(ttl & EDNS_DO))

@@ -60,8 +60,8 @@ class Message:
         dnssec_ok: bool = False,
         checking_disabled: bool = False,
     ) -> "Message":
-        flags = HeaderFlags(rd=recursion_desired, cd=checking_disabled)
-        edns = Edns(dnssec_ok=True) if dnssec_ok else None
+        flags = HeaderFlags.shared(rd=recursion_desired, cd=checking_disabled)
+        edns = Edns.shared(dnssec_ok=True) if dnssec_ok else None
         return cls(
             message_id=message_id,
             flags=flags,
@@ -80,7 +80,7 @@ class Message:
         z_bit: bool = False,
     ) -> "Message":
         """Build a response mirroring this query's id/question/EDNS."""
-        flags = HeaderFlags(
+        flags = HeaderFlags.shared(
             qr=True,
             aa=authoritative,
             rd=self.flags.rd,

@@ -113,7 +113,7 @@ class AdversaryPersona:
 
 
 def _response_flags(rcode: RCode = RCode.NOERROR, aa: bool = True) -> HeaderFlags:
-    return HeaderFlags(qr=True, aa=aa, ra=False, rcode=rcode)
+    return HeaderFlags.shared(qr=True, aa=aa, ra=False, rcode=rcode)
 
 
 class Spoofer(AdversaryPersona):

@@ -11,6 +11,8 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -155,6 +157,59 @@ class TestLease:
         assert Lease.from_json(lease.to_json()) == lease
         assert lease.expired(now=7.1) and not lease.expired(now=6.9)
 
+    def test_racing_takeover_has_exactly_one_winner(self, tmp_path):
+        """More threads than cores race ``claim_cell`` on one expired
+        lease, switching every microsecond, for a bounded time.  Each
+        round exactly one takes it over with the next token; none finds
+        the path empty mid-takeover and claims the cell ``fresh``."""
+        contenders = 2 * (os.cpu_count() or 1) + 2
+        path = tmp_path / "cell.lease"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 3.0
+            token = 0
+            while token < 3 or time.monotonic() < deadline:
+                token += 1
+                dead = Lease(
+                    cell="cell",
+                    owner="dead",
+                    nonce=f"dead:{token}",
+                    token=token,
+                    ttl=1.0,
+                    acquired=0.0,
+                    heartbeat=0.0,
+                )
+                path.write_text(dead.to_json())
+                barrier = threading.Barrier(contenders)
+                outcomes = []
+
+                def contend(index):
+                    barrier.wait()
+                    try:
+                        outcomes.append(
+                            claim_cell(path, "cell", f"c{index}", ttl=60.0)
+                        )
+                    except Exception as exc:  # reported by the assert
+                        outcomes.append(exc)
+
+                threads = [
+                    threading.Thread(target=contend, args=(index,))
+                    for index in range(contenders)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                won = [outcome for outcome in outcomes if outcome is not None]
+                assert [getattr(claim, "how", claim) for claim in won] == [
+                    "takeover"
+                ], f"round {token}"
+                assert won[0].lease.token == token + 1
+                assert read_lease(path).same_claim(won[0].lease)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # ----------------------------------------------------------------------
 # DistributedExecutor: Executor-protocol byte-identity
@@ -162,6 +217,31 @@ class TestLease:
 
 def _task(value):
     return value * 3
+
+
+def _task_after_w0_claims(value, leases: Path, gate: Path):
+    """``_task``, held until worker ``w0`` has claimed a cell.
+
+    ``w0`` is the worker set to die on its first claim.  Without the
+    hold, on a loaded host its peers can drain every cell before it
+    starts, so it never claims and never dies.  The first peer to see
+    a ``w0`` lease opens *gate* for the others: a takeover later
+    replaces that lease.  After a minute it gives up waiting, and the
+    test's own assertions report what went wrong.
+    """
+    deadline = time.monotonic() + 60.0
+    while not gate.exists() and time.monotonic() < deadline:
+        for path in leases.glob(f"*{ResultStore.LEASE_SUFFIX}"):
+            try:
+                lease = read_lease(path)
+            except FileNotFoundError:
+                continue
+            if lease is not None and lease.owner == "w0":
+                gate.touch()
+                break
+        else:
+            time.sleep(0.01)
+    return _task(value)
 
 
 class TestDistributedExecutor:
@@ -198,10 +278,17 @@ class TestDistributedExecutor:
         _no_hung_children()
 
     @needs_fork
-    def test_sigkilled_worker_cell_is_taken_over(self):
-        tasks = [functools.partial(_task, i) for i in range(6)]
+    def test_sigkilled_worker_cell_is_taken_over(self, tmp_path):
+        board = tmp_path / "board"
+        tasks = [
+            functools.partial(
+                _task_after_w0_claims, i, board / "leases", tmp_path / "gate"
+            )
+            for i in range(6)
+        ]
         executor = DistributedExecutor(
             workers=3,
+            root=str(board),
             ttl=0.6,
             worker_faults={0: WorkerFault(die_after_claims=1)},
         )
