@@ -130,6 +130,11 @@ def test_chaos_load():
             overall = result.overall
             assert overall.queries == result.load.query_budget()
             assert result.fault_bounds == (FAULT_START, FAULT_END)
+            # Every DLV query the registry received is Case-1 or Case-2.
+            assert (
+                overall.case1_queries + overall.case2_queries
+                == overall.dlv_queries
+            )
             curves[mode][users] = {
                 "load": {
                     "users": users,

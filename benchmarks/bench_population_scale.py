@@ -100,12 +100,18 @@ def _arm_payload(result) -> dict:
     }
 
 
+def _assert_cases_split_dlv(overall) -> None:
+    """Every DLV query the registry received is Case-1 or Case-2."""
+    assert overall.case1_queries + overall.case2_queries == overall.dlv_queries
+
+
 def test_population_scale():
     sweep = {}
     for users in USERS_SWEEP:
         result = run_population_replay(_params(users, SWEEP_QUERIES))
         assert result.overall.queries == SWEEP_QUERIES
         assert result.scheduler.completed == SWEEP_QUERIES
+        _assert_cases_split_dlv(result.overall)
         sweep[users] = _arm_payload(result)
 
     scale_params = _params(SCALE_USERS, SCALE_QUERIES)
@@ -113,6 +119,7 @@ def test_population_scale():
     scale = _arm_payload(scale_result)
     assert scale_result.overall.queries == SCALE_QUERIES
     assert scale_result.overall.sessions_completed == SCALE_QUERIES
+    _assert_cases_split_dlv(scale_result.overall)
 
     peak_rss = _peak_rss_mb()
     payload = {

@@ -31,13 +31,19 @@ simultaneously on one shared resolver/cache universe:
   :func:`~repro.core.parallel.result_fingerprint` pins the serial
   harness.
 
-The ``load=`` axis on the matrices routes here: ``load=None`` keeps the
-serial cell, ``load=1`` routes the *unchanged* serial experiment
-through :func:`~repro.core.replay.run_experiment_in_session` (whose
-result is byte-identical to the serial cell — the equivalence the
-acceptance tests pin), and ``load=N`` / ``load=ReplayLoad(...)`` runs
-the concurrent replay via :func:`run_chaos_cell_under_load` /
-:func:`run_adversary_cell_under_load`.
+Both entry points only set the cell up — script the scenario or deploy
+the persona — and share one body that drives the sessions and reads
+the result.
+
+The ``load=`` axis on the matrices routes here: ``load=None`` and
+``load=1`` keep the serial cell (:func:`coerce_load` maps both to
+``None``), and ``load=N`` / ``load=ReplayLoad(...)`` makes
+:func:`~repro.core.experiment.run_chaos_cell` /
+:func:`~repro.core.experiment.run_adversary_cell` build their report
+from :func:`run_chaos_replay` / :func:`run_adversary_replay`.  That a
+single scheduler session reproduces the serial experiment byte for
+byte is pinned separately, on
+:func:`~repro.core.replay.run_experiment_in_session`.
 """
 
 from __future__ import annotations
@@ -49,22 +55,17 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..dnscore import Name
-from ..netsim import SchedulerStats
+from ..netsim import AdversaryPersona, SchedulerStats
 from ..resolver import ResolverConfig, correct_bind_config
 from ..workloads import Universe
-from .experiment import (
-    AdversaryReport,
-    AdversaryScenario,
-    ChaosReport,
-    ChaosScenario,
-)
+from .experiment import AdversaryScenario, ChaosScenario
 from .observability import (
     HardeningSnapshot,
     hardening_snapshot,
     poisoned_cache_entries,
 )
 from .parallel import ReplayWindow, empty_replay_window
-from .replay import DriveOutcome, drive_replay_sessions, fold_windows
+from .replay import drive_replay_sessions, fold_windows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,10 +118,9 @@ LoadSpec = Union[None, int, ReplayLoad]
 
 
 def coerce_load(load: LoadSpec) -> Optional[ReplayLoad]:
-    """Normalise a ``load=`` argument: ``None`` stays ``None`` (serial
-    cell), ``1`` means the single-session scheduler path (also
-    ``None`` here — the cell handles it), an ``int > 1`` becomes that
-    many users at the default rate, and a :class:`ReplayLoad` passes
+    """Normalise a ``load=`` argument: ``None`` and ``1`` both mean the
+    serial cell and become ``None``, an ``int > 1`` becomes that many
+    users at the default rate, and a :class:`ReplayLoad` passes
     through."""
     if load is None:
         return None
@@ -318,30 +318,6 @@ def _round_robin_names(
     return next_name
 
 
-def _run_replay(
-    universe: Universe,
-    config: ResolverConfig,
-    names: Sequence[Name],
-    load: ReplayLoad,
-    progress: Optional[Callable[[ReplayWindow], None]],
-) -> Tuple[DriveOutcome, List[ReplayWindow], float]:
-    started_wall = time.perf_counter()
-    outcome = drive_replay_sessions(
-        universe,
-        config,
-        _round_robin_names(names, load.users),
-        users=load.users,
-        per_user_qps=load.per_user_qps,
-        queries=load.query_budget(),
-        window_seconds=load.window_seconds,
-        max_concurrent=load.max_concurrent,
-        max_queue=load.max_queue,
-        seed=load.seed,
-        progress=progress,
-    )
-    return outcome, outcome.windows, time.perf_counter() - started_wall
-
-
 def run_chaos_replay(
     universe: Universe,
     config: Optional[ResolverConfig] = None,
@@ -362,29 +338,16 @@ def run_chaos_replay(
     retry storms, backoff pile-ups, and admission pressure included.
     """
     config = config or correct_bind_config()
-    replay_load = coerce_load(load) or ReplayLoad(users=1)
     if scenario is not None:
         scenario(universe)
-    outcome, windows, wall = _run_replay(
-        universe, config, names, replay_load, progress
-    )
-    overall = fold_windows(windows)
-    resolver = outcome.resolver
-    return ChaosReplayResult(
+    return _replay_cell(
+        universe,
+        config,
+        names,
+        load,
+        progress,
         scenario=scenario_label,
         policy=policy_label or config.describe(),
-        load=replay_load,
-        windows=windows,
-        overall=overall,
-        scheduler=outcome.scheduler,
-        wall_seconds=wall,
-        fault_bounds=_fault_bounds(universe, overall.end),
-        stale_served=resolver.engine.stale_served,
-        lookaside_skipped=resolver.lookaside.searches_skipped,
-        lookaside_disabled=resolver.lookaside.disabled,
-        upstream_sends=resolver.engine.queries_sent,
-        crypto_verify_calls=resolver.validator.crypto_verify_calls,
-        hardening=hardening_snapshot(resolver),
     )
 
 
@@ -407,23 +370,62 @@ def run_adversary_replay(
     result carries its forge counter and the cache's ground-truth
     poisoned-entry count."""
     config = config or correct_bind_config()
-    replay_load = coerce_load(load) or ReplayLoad(users=1)
     persona = adversary(universe) if adversary is not None else None
-    outcome, windows, wall = _run_replay(
-        universe, config, names, replay_load, progress
-    )
-    overall = fold_windows(windows)
-    resolver = outcome.resolver
-    return ChaosReplayResult(
+    return _replay_cell(
+        universe,
+        config,
+        names,
+        load,
+        progress,
         scenario="none",
         policy=policy_label or config.hardening.describe(),
+        adversary=adversary_label,
+        persona=persona,
+    )
+
+
+def _replay_cell(
+    universe: Universe,
+    config: ResolverConfig,
+    names: Sequence[Name],
+    load: LoadSpec,
+    progress: Optional[Callable[[ReplayWindow], None]],
+    *,
+    scenario: str,
+    policy: str,
+    adversary: str = "none",
+    persona: Optional[AdversaryPersona] = None,
+) -> ChaosReplayResult:
+    """Drive *names* through the sessions of *load* on a universe whose
+    faults or persona are already in place, and read the result."""
+    replay_load = coerce_load(load) or ReplayLoad(users=1)
+    started_wall = time.perf_counter()
+    outcome = drive_replay_sessions(
+        universe,
+        config,
+        _round_robin_names(names, replay_load.users),
+        users=replay_load.users,
+        per_user_qps=replay_load.per_user_qps,
+        queries=replay_load.query_budget(),
+        window_seconds=replay_load.window_seconds,
+        max_concurrent=replay_load.max_concurrent,
+        max_queue=replay_load.max_queue,
+        seed=replay_load.seed,
+        progress=progress,
+    )
+    wall = time.perf_counter() - started_wall
+    overall = fold_windows(outcome.windows)
+    resolver = outcome.resolver
+    return ChaosReplayResult(
+        scenario=scenario,
+        policy=policy,
         load=replay_load,
-        windows=windows,
+        windows=outcome.windows,
         overall=overall,
         scheduler=outcome.scheduler,
         wall_seconds=wall,
         fault_bounds=_fault_bounds(universe, overall.end),
-        adversary=adversary_label,
+        adversary=adversary,
         responses_forged=persona.responses_forged if persona is not None else 0,
         poisoned_cache_entries=(
             poisoned_cache_entries(resolver, [persona])
@@ -436,98 +438,4 @@ def run_adversary_replay(
         upstream_sends=resolver.engine.queries_sent,
         crypto_verify_calls=resolver.validator.crypto_verify_calls,
         hardening=hardening_snapshot(resolver),
-    )
-
-
-# ----------------------------------------------------------------------
-# Matrix cells under load (the `load=` axis lands here)
-# ----------------------------------------------------------------------
-
-def run_chaos_cell_under_load(
-    universe: Universe,
-    config: ResolverConfig,
-    names: Sequence[Name],
-    scenario: Optional[ChaosScenario] = None,
-    scenario_label: str = "none",
-    policy_label: str = "",
-    load: ReplayLoad = ReplayLoad(),
-) -> ChaosReport:
-    """The under-load twin of
-    :func:`~repro.core.experiment.run_chaos_cell`: same report shape,
-    but the availability numbers come from the concurrent replay's
-    overall window (``report.replay`` holds the full window stream;
-    ``report.result`` is ``None`` — there is no per-name serial
-    result under load)."""
-    replay = run_chaos_replay(
-        universe,
-        config,
-        names,
-        scenario=scenario,
-        scenario_label=scenario_label,
-        policy_label=policy_label,
-        load=load,
-    )
-    overall = replay.overall
-    total = max(1, overall.queries)
-    return ChaosReport(
-        scenario=scenario_label,
-        policy=policy_label or config.describe(),
-        domains=len(names),
-        noerror=overall.queries - overall.failures,
-        servfail=overall.servfails,
-        servfail_rate=overall.servfails / total,
-        mean_response_time=overall.mean_latency,
-        case2_queries=overall.case2_queries,
-        registry_queries_delivered=overall.dlv_queries,
-        stale_served=replay.stale_served,
-        lookaside_skipped=replay.lookaside_skipped,
-        lookaside_disabled=replay.lookaside_disabled,
-        result=None,
-        replay=replay,
-    )
-
-
-def run_adversary_cell_under_load(
-    universe: Universe,
-    config: ResolverConfig,
-    names: Sequence[Name],
-    adversary: Optional[AdversaryScenario] = None,
-    adversary_label: str = "none",
-    policy_label: str = "",
-    baseline_sends: Optional[int] = None,
-    load: ReplayLoad = ReplayLoad(),
-) -> AdversaryReport:
-    """The under-load twin of
-    :func:`~repro.core.experiment.run_adversary_cell`; amplification is
-    the resolver's upstream send count relative to the same policy's
-    no-adversary baseline *at the same load*."""
-    replay = run_adversary_replay(
-        universe,
-        config,
-        names,
-        adversary=adversary,
-        adversary_label=adversary_label,
-        policy_label=policy_label,
-        load=load,
-    )
-    overall = replay.overall
-    total = max(1, overall.queries)
-    return AdversaryReport(
-        adversary=adversary_label,
-        policy=policy_label or config.hardening.describe(),
-        domains=len(names),
-        noerror=overall.queries - overall.failures,
-        servfail=overall.servfails,
-        servfail_rate=overall.servfails / total,
-        upstream_sends=replay.upstream_sends,
-        amplification=(
-            replay.upstream_sends / baseline_sends if baseline_sends else 1.0
-        ),
-        poisoned_cache_entries=replay.poisoned_cache_entries,
-        crypto_verify_calls=replay.crypto_verify_calls,
-        hardening=replay.hardening,
-        responses_forged=replay.responses_forged,
-        case2_queries=overall.case2_queries,
-        result=None,
-        replay=replay,
     )

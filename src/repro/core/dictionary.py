@@ -55,8 +55,8 @@ class DictionaryAttack:
         seen: Set[str] = set()
         ordered: List[str] = []
         for record in capture.queries_of_type(RRType.DLV):
-            if record.dst != self._address:
-                continue
+            if record.dst != self._address or record.dropped:
+                continue  # only what reached the registry
             qname = record.qname
             assert qname is not None
             if not qname.is_subdomain_of(self._origin) or qname == self._origin:

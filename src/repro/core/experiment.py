@@ -278,6 +278,8 @@ class ChaosReport:
     #: operator could observe (dropped packets never arrive, so a
     #: black-holed registry observes nothing).
     case2_queries: int
+    #: DLV queries the registry received (Case-1 plus Case-2), counted
+    #: by the same classifier on the serial and the under-load cell.
     registry_queries_delivered: int
     #: Resilience machinery activity.
     stale_served: int
@@ -331,55 +333,62 @@ def run_chaos_cell(
     report's ``result.traces`` holds one span tree per stub query and
     ``result.metrics`` the cell's counter/histogram snapshot.
 
-    ``load`` selects the execution regime: ``None`` is the serial cell;
-    ``1`` runs the *same* serial experiment as a single session on the
-    event scheduler (byte-identical result — the equivalence contract);
-    an ``int > 1`` or a :class:`~repro.core.chaos_replay.ReplayLoad`
-    replays the cell under concurrent load (``report.replay`` carries
-    the window stream, ``report.result`` is ``None``).
+    ``load`` selects the execution regime: ``None`` (or ``1``) is the
+    serial cell; an ``int > 1`` or a
+    :class:`~repro.core.chaos_replay.ReplayLoad` replays the cell under
+    concurrent load (``report.replay`` carries the window stream,
+    ``report.result`` is ``None``).
     """
-    if load is not None and load != 1:
-        from .chaos_replay import coerce_load, run_chaos_cell_under_load
+    from .chaos_replay import coerce_load, run_chaos_replay
 
-        return run_chaos_cell_under_load(
+    policy = policy_label or config.describe()
+    replay_load = coerce_load(load)
+    if replay_load is not None:
+        replay = run_chaos_replay(
             universe,
             config,
             names,
             scenario=scenario,
             scenario_label=scenario_label,
-            policy_label=policy_label,
-            load=coerce_load(load),
+            policy_label=policy,
+            load=replay_load,
+        )
+        overall = replay.overall
+        total = max(1, overall.queries)
+        return ChaosReport(
+            scenario=scenario_label,
+            policy=policy,
+            domains=len(names),
+            noerror=overall.queries - overall.failures,
+            servfail=overall.servfails,
+            servfail_rate=overall.servfails / total,
+            mean_response_time=overall.mean_latency,
+            case2_queries=overall.case2_queries,
+            registry_queries_delivered=overall.dlv_queries,
+            stale_served=replay.stale_served,
+            lookaside_skipped=replay.lookaside_skipped,
+            lookaside_disabled=replay.lookaside_disabled,
+            replay=replay,
         )
     if scenario is not None:
         scenario(universe)
     tracer, metrics = _make_telemetry(universe, trace)
     experiment = LeakageExperiment(universe, config, tracer=tracer, metrics=metrics)
-    if load == 1:
-        from .replay import run_experiment_in_session
-
-        result = run_experiment_in_session(experiment, names)
-    else:
-        result = experiment.run(names)
+    result = experiment.run(names)
     servfail = result.rcode_counts.get(RCode.SERVFAIL.name, 0)
     noerror = result.rcode_counts.get(RCode.NOERROR.name, 0)
     total = max(1, len(names))
-    registry_queries = (
-        result.capture.queries_to(universe.registry_address)
-        if result.capture is not None
-        else ()
-    )
-    delivered = sum(1 for record in registry_queries if not record.dropped)
     resolver = experiment.resolver
     return ChaosReport(
         scenario=scenario_label,
-        policy=policy_label or config.describe(),
+        policy=policy,
         domains=len(names),
         noerror=noerror,
         servfail=servfail,
         servfail_rate=servfail / total,
         mean_response_time=result.overhead.response_time / total,
         case2_queries=result.leakage.case2_queries,
-        registry_queries_delivered=delivered,
+        registry_queries_delivered=result.leakage.dlv_queries,
         stale_served=resolver.engine.stale_served,
         lookaside_skipped=resolver.lookaside.searches_skipped,
         lookaside_disabled=resolver.lookaside.disabled,
@@ -441,8 +450,8 @@ def run_chaos_matrix(
     typed failure instead.
 
     ``load`` applies :func:`run_chaos_cell`'s execution regime to every
-    cell: ``load=1`` reproduces the serial sweep byte-identically
-    through the scheduler, higher loads replay every cell concurrently.
+    cell: ``None`` or ``1`` runs the serial sweep, higher loads replay
+    every cell concurrently.
     """
     from .parallel import run_tasks_fault_tolerant
 
@@ -562,32 +571,49 @@ def run_adversary_cell(
     ``trace=True`` the returned report's ``result.traces`` and
     ``result.metrics`` carry the cell's full telemetry.
 
-    ``load`` mirrors :func:`run_chaos_cell`: ``None`` serial, ``1``
-    single-session scheduler (byte-identical), ``int > 1`` /
-    :class:`~repro.core.chaos_replay.ReplayLoad` concurrent replay.
+    ``load`` mirrors :func:`run_chaos_cell`: ``None`` (or ``1``) is the
+    serial cell, an ``int > 1`` or a
+    :class:`~repro.core.chaos_replay.ReplayLoad` the concurrent replay,
+    whose amplification is relative to the same policy's no-adversary
+    baseline *at the same load*.
     """
-    if load is not None and load != 1:
-        from .chaos_replay import coerce_load, run_adversary_cell_under_load
+    from .chaos_replay import coerce_load, run_adversary_replay
 
-        return run_adversary_cell_under_load(
+    policy = policy_label or config.hardening.describe()
+    replay_load = coerce_load(load)
+    if replay_load is not None:
+        replay = run_adversary_replay(
             universe,
             config,
             names,
             adversary=adversary,
             adversary_label=adversary_label,
-            policy_label=policy_label,
-            baseline_sends=baseline_sends,
-            load=coerce_load(load),
+            policy_label=policy,
+            load=replay_load,
+        )
+        overall = replay.overall
+        return AdversaryReport(
+            adversary=adversary_label,
+            policy=policy,
+            domains=len(names),
+            noerror=overall.queries - overall.failures,
+            servfail=overall.servfails,
+            servfail_rate=overall.servfails / max(1, overall.queries),
+            upstream_sends=replay.upstream_sends,
+            amplification=(
+                replay.upstream_sends / baseline_sends if baseline_sends else 1.0
+            ),
+            poisoned_cache_entries=replay.poisoned_cache_entries,
+            crypto_verify_calls=replay.crypto_verify_calls,
+            hardening=replay.hardening,
+            responses_forged=replay.responses_forged,
+            case2_queries=overall.case2_queries,
+            replay=replay,
         )
     persona = adversary(universe) if adversary is not None else None
     tracer, metrics = _make_telemetry(universe, trace)
     experiment = LeakageExperiment(universe, config, tracer=tracer, metrics=metrics)
-    if load == 1:
-        from .replay import run_experiment_in_session
-
-        result = run_experiment_in_session(experiment, names)
-    else:
-        result = experiment.run(names)
+    result = experiment.run(names)
     resolver = experiment.resolver
     sends = _upstream_sends(result, resolver)
     if baseline_sends:
@@ -601,7 +627,7 @@ def run_adversary_cell(
     noerror = result.rcode_counts.get(RCode.NOERROR.name, 0)
     return AdversaryReport(
         adversary=adversary_label,
-        policy=policy_label or config.hardening.describe(),
+        policy=policy,
         domains=len(names),
         noerror=noerror,
         servfail=servfail,

@@ -1,6 +1,6 @@
 """Leakage classification under the paper's threat model (Section 3).
 
-A DLV query observed at the registry is:
+A DLV query delivered to the registry is:
 
 * **Case-1** — the queried owner name has a DLV record deposited: the
   registry is an involved party; the exposure is no worse than today's
@@ -9,10 +9,21 @@ A DLV query observed at the registry is:
   domain the user resolved while providing zero validation utility.
   **This is the leak** the paper quantifies.
 
+:meth:`LeakageClassifier.classify` is the one place that rule lives.
+The batch :meth:`~LeakageClassifier.report`, the streaming observer of
+:func:`~repro.core.replay.drive_replay_sessions` and
+:func:`~repro.core.population.run_population` all call it, so a batch
+run and a replay of the same packets count the same queries.
+
 A *domain* counts as leaked when at least one Case-2 DLV query naming it
-reached the registry.  TLD-level queries produced by label stripping
-(e.g. ``com.dlv.isc.org``) are tracked separately: they reveal far less
-than an SLD.
+reached the registry.  Two kinds of Case-2 query name no domain:
+
+* a TLD-level query produced by label stripping (e.g.
+  ``com.dlv.isc.org``) asks for a name with no DLV record, so it is
+  Case-2; it is flagged ``tld_level`` and counted apart, since it
+  reveals far less than an SLD;
+* a hashed-registry query (Section 6.2.2) is Case-1 or Case-2 by
+  whether its digest owner exists, and maps back to no name.
 """
 
 from __future__ import annotations
@@ -41,6 +52,14 @@ class ClassifiedDlvQuery:
     domain: Optional[Name]
     #: True for label-stripped enclosing queries above the SLD.
     tld_level: bool
+
+    @property
+    def leaked_domain(self) -> Optional[Name]:
+        """The domain this query leaks: its mapped domain when it is a
+        Case-2 query below the TLD level, else ``None``."""
+        if self.case is LeakageCase.CASE2 and not self.tld_level:
+            return self.domain
+        return None
 
 
 @dataclasses.dataclass
@@ -93,30 +112,37 @@ class LeakageClassifier:
         self._registry = registry
         self._registry_address = registry_address
 
-    def classify_queries(self, capture: Capture) -> List[ClassifiedDlvQuery]:
-        classified: List[ClassifiedDlvQuery] = []
+    def classify(self, record: PacketRecord) -> Optional[ClassifiedDlvQuery]:
+        """Classify one captured packet, or ``None`` unless it is a DLV
+        query delivered to the registry for a name strictly below the
+        registry origin."""
+        if (
+            # Discovery hops through root/org/isc.org are not the
+            # registry's; a dropped packet was lost in flight, so the
+            # registry never saw it.
+            record.dst != self._registry_address
+            or record.dropped
+            or not record.is_query
+            or record.qtype is not RRType.DLV
+        ):
+            return None
+        qname = record.qname
         origin = self._registry.origin
-        for record in capture.queries_of_type(RRType.DLV):
-            if record.dst != self._registry_address:
-                continue  # discovery hops through root/org/isc.org
-            if record.dropped:
-                continue  # lost in flight: the registry never saw it
-            qname = record.qname
-            assert qname is not None
-            if not qname.is_subdomain_of(origin) or qname == origin:
-                continue
-            case = (
-                LeakageCase.CASE1
-                if self._registry.has_owner(qname)
-                else LeakageCase.CASE2
-            )
-            domain, tld_level = self._map_domain(qname)
-            classified.append(
-                ClassifiedDlvQuery(
-                    record=record, case=case, domain=domain, tld_level=tld_level
-                )
-            )
-        return classified
+        if not qname.is_subdomain_of(origin) or qname == origin:
+            return None
+        case = (
+            LeakageCase.CASE1
+            if self._registry.has_owner(qname)
+            else LeakageCase.CASE2
+        )
+        domain, tld_level = self._map_domain(qname)
+        return ClassifiedDlvQuery(
+            record=record, case=case, domain=domain, tld_level=tld_level
+        )
+
+    def classify_queries(self, capture: Capture) -> List[ClassifiedDlvQuery]:
+        classified = map(self.classify, capture.queries_of_type(RRType.DLV))
+        return [item for item in classified if item is not None]
 
     def _map_domain(self, qname: Name) -> Tuple[Optional[Name], bool]:
         origin = self._registry.origin
@@ -147,8 +173,8 @@ class LeakageClassifier:
                 case2 += 1
                 if item.tld_level:
                     tld_level += 1
-                elif item.domain is not None and item.domain in queried:
-                    leaked.add(item.domain)
+                elif item.leaked_domain in queried:
+                    leaked.add(item.leaked_domain)
         noerror, nxdomain = self._response_counts(capture)
         return LeakageReport(
             domains_queried=len(queried),

@@ -10,6 +10,15 @@ since one user's look-aside denial suppresses everyone else's.
 The paper cautions that aggregation is not a fix — traffic-correlation
 techniques can re-link users — but quantifying the baseline granularity
 difference is still instructive, and this module does that.
+
+What the registry saw is read off the capture with
+:meth:`~repro.core.leakage.LeakageClassifier.classify`, the rule every
+leak count uses.  A source address counts as *observed* when it sent
+the registry at least one Case-2 query.  Its exposure is the set of
+domains those queries name; TLD-level probes and hashed-registry probes
+(Section 6.2.2) name none.  So under the hashed remedy every dedicated
+resolver is still an observed, attributable source, with zero named
+domains: the registry learns who asked and how often, not what.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import Dict, List, Sequence, Set
 from ..dnscore import Name, RRType
 from ..resolver import RecursiveResolver, ResolverConfig, StubClient
 from ..workloads import AlexaWorkload, Universe, UniverseParams
+from .leakage import LeakageCase, LeakageClassifier
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,15 +72,17 @@ class PopulationResult:
 
     shared_resolver: bool
     users: int
-    #: DLV-query source addresses observed at the registry.
+    #: Source addresses that sent the registry at least one Case-2
+    #: DLV query.
     observed_sources: int
-    #: Distinct domains the registry saw across the run (Case-2 only).
+    #: Distinct domains named by Case-2 queries across the run.
     aggregate_exposed: int
     #: Users whose (partial) browsing profile is attributable because a
     #: source address maps to exactly one user.
     attributable_users: int
     #: Leaked domains per attributable user.
     per_user_exposure: Dict[int, int]
+    #: DLV queries delivered to the registry (Case-1 plus Case-2).
     total_dlv_queries: int
 
 
@@ -109,24 +121,16 @@ def run_population(
     if not shared:
         for index, resolver in enumerate(resolvers):
             resolver_to_user[resolver.address] = index
-    sources: Set[str] = set()
+    classified = LeakageClassifier(
+        universe.registry_zone, universe.registry_address
+    ).classify_queries(universe.capture)
     exposed_by_source: Dict[str, Set[Name]] = {}
-    origin = universe.registry_origin
-    for record in universe.capture.queries_of_type(RRType.DLV):
-        if record.dst != universe.registry_address or record.dropped:
-            continue
-        qname = record.qname
-        assert qname is not None
-        if not qname.is_subdomain_of(origin) or qname == origin:
-            continue
-        relative = qname.relativize(origin)
-        if len(relative) < 2:
-            continue  # TLD-level enclosing query
-        domain = Name(relative)
-        if universe.registry_zone.has_deposit(domain):
+    for item in classified:
+        if item.case is not LeakageCase.CASE2:
             continue  # Case-1: involved party
-        sources.add(record.src)
-        exposed_by_source.setdefault(record.src, set()).add(domain)
+        exposed = exposed_by_source.setdefault(item.record.src, set())
+        if item.leaked_domain is not None:
+            exposed.add(item.leaked_domain)
 
     aggregate: Set[Name] = set()
     for exposed in exposed_by_source.values():
@@ -136,17 +140,12 @@ def run_population(
         user = resolver_to_user.get(source)
         if user is not None:
             per_user[user] = len(exposed)
-    total_dlv = sum(
-        1
-        for record in universe.capture.queries_of_type(RRType.DLV)
-        if record.dst == universe.registry_address and not record.dropped
-    )
     return PopulationResult(
         shared_resolver=shared,
         users=len(profiles),
-        observed_sources=len(sources),
+        observed_sources=len(exposed_by_source),
         aggregate_exposed=len(aggregate),
         attributable_users=len(per_user),
         per_user_exposure=per_user,
-        total_dlv_queries=total_dlv,
+        total_dlv_queries=len(classified),
     )

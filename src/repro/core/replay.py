@@ -14,7 +14,11 @@ Memory stays flat at any query volume, by construction:
 * the universe's capture is swapped for a
   :class:`~repro.netsim.StreamingCapture` — no packet is ever retained;
   the replay's observer classifies DLV traffic Case-1/Case-2 *online*
-  at the wire, exactly where the paper's registry tap sits;
+  at the wire, exactly where the paper's registry tap sits, by handing
+  each packet to :meth:`~repro.core.leakage.LeakageClassifier.classify`
+  — the rule the batch report applies, so every window's
+  ``case1_queries + case2_queries`` equals its ``dlv_queries`` and a
+  TLD-level or hashed probe is a Case-2 query that names no domain;
 * arrivals are generated lazily, one pending arrival event at a time;
 * results accumulate into fixed-width
   :class:`~repro.core.parallel.ReplayWindow` values, closed on window
@@ -55,6 +59,7 @@ from ..netsim.network import NetworkError, QueryTimeout
 from ..resolver import ResolverConfig, StubClient, correct_bind_config
 from ..workloads import DitlParams, Universe, generate_trace, iter_replay_arrivals
 from .experiment import ExperimentResult, LeakageExperiment
+from .leakage import LeakageCase, LeakageClassifier
 from .metrics import MetricsRegistry
 from .parallel import (
     LATENCY_BUCKET_BOUNDS,
@@ -96,7 +101,7 @@ class ReplayParams:
 
 
 @dataclasses.dataclass
-class ReplayResult:
+class PopulationReplayResult:
     """What one population replay produced — windows, never packets."""
 
     params: ReplayParams
@@ -248,9 +253,9 @@ def drive_replay_sessions(
     metrics = MetricsRegistry()
     universe.attach_telemetry(metrics=metrics)
 
-    registry_address = universe.registry_address
-    registry_zone = universe.registry_zone
-    origin = universe.registry_origin
+    classify = LeakageClassifier(
+        universe.registry_zone, universe.registry_address
+    ).classify
     accum = _WindowAccum(0.0)
 
     def observe(record) -> None:
@@ -258,26 +263,16 @@ def drive_replay_sessions(
         accum.wire_bytes += record.wire_size
         if record.dropped:
             accum.dropped += 1
-        if (
-            not record.is_query
-            or record.dst != registry_address
-            or record.dropped
-            or record.qtype is not RRType.DLV
-        ):
+        item = classify(record)
+        if item is None:
             return
         accum.dlv += 1
-        qname = record.qname
-        if qname is None or not qname.is_subdomain_of(origin) or qname == origin:
-            return
-        relative = qname.relativize(origin)
-        if len(relative) < 2:
-            return  # TLD-level enclosing query, neither case
-        domain = Name(relative)
-        if registry_zone.has_deposit(domain):
+        if item.case is LeakageCase.CASE1:
             accum.case1 += 1
         else:
             accum.case2 += 1
-            accum.leaked.add(domain.to_text())
+            if item.leaked_domain is not None:
+                accum.leaked.add(item.leaked_domain.to_text())
 
     # Swap the list capture for the streaming one *before* any traffic.
     universe.network.capture = StreamingCapture(observer=observe)
@@ -440,7 +435,7 @@ def run_population_replay(
     params: Optional[ReplayParams] = None,
     config: Optional[ResolverConfig] = None,
     progress: Optional[Callable[[ReplayWindow], None]] = None,
-) -> ReplayResult:
+) -> PopulationReplayResult:
     """Replay a DITL-shaped query stream from ``params.users`` concurrent
     stubs against one shared look-aside resolver.
 
@@ -480,7 +475,7 @@ def run_population_replay(
         seed=params.seed,
         progress=progress,
     )
-    return ReplayResult(
+    return PopulationReplayResult(
         params=params,
         windows=outcome.windows,
         overall=fold_windows(outcome.windows),

@@ -24,7 +24,7 @@ from .overhead import SignalingCost
 
 
 @dataclasses.dataclass
-class ReplayResult:
+class ZipfReplayResult:
     """Packet-level measurement vs analytic prediction."""
 
     queries_replayed: int
@@ -53,7 +53,7 @@ def replay_zipf_stream(
     seed: int = 33,
     config: Optional[ResolverConfig] = None,
     universe_params: Optional[UniverseParams] = None,
-) -> ReplayResult:
+) -> ZipfReplayResult:
     """Drive *query_count* Zipf-popularity queries through the packet
     simulator with TXT signalling deployed, then compare the measured
     TXT cost with the analytic cache model's prediction."""
@@ -88,7 +88,7 @@ def replay_zipf_stream(
         if spec.signed and spec.ds_in_parent
     }
     predicted = len(set(stream) - secure)
-    return ReplayResult(
+    return ZipfReplayResult(
         queries_replayed=query_count,
         distinct_zones=distinct_zones,
         measured_txt_exchanges=cost.exchanges,

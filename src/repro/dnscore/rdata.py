@@ -613,10 +613,15 @@ class NSEC3(Rdata):
         offset = 4
         salt_length = data[offset]
         offset += 1
+        # The salt must leave room for the hash-length octet.
+        if offset + salt_length >= len(data):
+            raise RdataError("truncated NSEC3 rdata")
         salt = data[offset : offset + salt_length]
         offset += salt_length
         hash_length = data[offset]
         offset += 1
+        if offset + hash_length > len(data):
+            raise RdataError("truncated NSEC3 rdata")
         next_hashed = data[offset : offset + hash_length]
         offset += hash_length
         return cls(

@@ -91,15 +91,30 @@ class TestPolicySpread:
         )
 
 
+@pytest.fixture(scope="module")
+def healthy_reports():
+    return run_chaos_matrix(make_universe, NAMES, {"none": None}, POLICIES)
+
+
 class TestFaultFreeEquivalence:
-    def test_policies_are_free_when_healthy(self):
-        reports = run_chaos_matrix(make_universe, NAMES, {"none": None}, POLICIES)
+    def test_policies_are_free_when_healthy(self, healthy_reports):
+        reports = healthy_reports
         profiles = {
             (r.noerror, r.servfail, r.case2_queries, r.lookaside_skipped)
             for r in reports
         }
         assert len(profiles) == 1
         assert all(not r.lookaside_disabled for r in reports)
+
+    def test_registry_queries_delivered_counts_dlv_queries(
+        self, healthy_reports
+    ):
+        """The resolver's DNSKEY and address lookups at the registry
+        host are not DLV queries."""
+        for report in healthy_reports:
+            assert report.registry_queries_delivered == (
+                report.result.leakage.dlv_queries
+            )
 
 
 class TestDeterminism:

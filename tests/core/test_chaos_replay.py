@@ -7,11 +7,12 @@ Three contracts certify the concurrent chaos driver:
   counts) and the mergeable latency histogram obey the same laws as the
   original fields: associative + commutative merge, identity element,
   and the window fold reproducing the overall totals.
-* **``load=1`` byte-identity** — routing a chaos or adversary cell
-  through the scheduler as a single session reproduces the serial
-  cell's result fingerprint *and* trace JSONL for every fault plan and
-  every byzantine persona.  This is what licenses reading the
-  ``load>1`` curves as "the same experiment, busier".
+* **Single-session byte-identity** — running a chaos or adversary
+  cell's experiment through the scheduler as a single session
+  reproduces the serial result fingerprint *and* trace JSONL for every
+  fault plan and every byzantine persona.  This is what licenses
+  reading the ``load>1`` curves as "the same experiment, busier";
+  ``load=1`` itself is the serial cell.
 * **Determinism + shedding** — same universe/config/load ⇒ same
   :func:`chaos_replay_fingerprint`; a bounded admission queue sheds
   arrivals without losing accounting (every budgeted query is either
@@ -25,8 +26,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     LATENCY_BUCKET_BOUNDS,
+    LeakageExperiment,
+    MetricsRegistry,
     ReplayLoad,
     ReplayWindow,
+    Tracer,
     chaos_replay_fingerprint,
     coerce_load,
     deploy_poisoner,
@@ -41,11 +45,12 @@ from repro.core import (
     latency_quantile,
     merge_latency_buckets,
     merge_replay_windows,
+    poisoned_cache_entries,
     registry_outage_scenario,
     result_fingerprint,
-    run_adversary_cell,
     run_chaos_cell,
     run_chaos_replay,
+    run_experiment_in_session,
     schedule_brownout,
     standard_universe,
     standard_workload,
@@ -322,7 +327,7 @@ def test_coerce_load_rejects_non_positive(bad):
 
 
 # ----------------------------------------------------------------------
-# load=1 byte-identity: chaos cells
+# Single-session byte-identity: chaos cells
 # ----------------------------------------------------------------------
 
 
@@ -344,32 +349,50 @@ FAULT_PLANS = {
 }
 
 
+def _serial_and_session(setup):
+    """The traced matrix-cell experiment on twin universes that *setup*
+    scripted or attacked: one run serially, one as a single scheduler
+    session.  Returns ``(result, experiment, deployed)`` per run."""
+    names = experiment_names()
+    runs = []
+    for run in (LeakageExperiment.run, run_experiment_in_session):
+        universe = make_universe()
+        deployed = setup(universe) if setup is not None else None
+        experiment = LeakageExperiment(
+            universe,
+            correct_bind_config(),
+            tracer=Tracer(universe.clock),
+            metrics=MetricsRegistry(),
+        )
+        runs.append((run(experiment, names), experiment, deployed))
+    (serial, _, _), (session, _, _) = runs
+    assert result_fingerprint(session) == result_fingerprint(serial)
+    assert export_traces_jsonl(session.traces) == export_traces_jsonl(
+        serial.traces
+    )
+    return runs
+
+
 @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
 def test_chaos_cell_load_one_is_byte_identical_to_serial(plan):
-    scenario = FAULT_PLANS[plan]
-    names = experiment_names()
+    _serial_and_session(FAULT_PLANS[plan])
 
-    serial = run_chaos_cell(
-        make_universe(), correct_bind_config(), names,
-        scenario=scenario, scenario_label=plan, trace=True,
-    )
-    session = run_chaos_cell(
-        make_universe(), correct_bind_config(), names,
-        scenario=scenario, scenario_label=plan, trace=True, load=1,
-    )
 
-    assert result_fingerprint(session.result) == result_fingerprint(
-        serial.result
+def test_load_one_is_the_serial_cell():
+    scenario = FAULT_PLANS["registry-blackhole"]
+    serial, once = (
+        run_chaos_cell(
+            make_universe(), correct_bind_config(), experiment_names(),
+            scenario=scenario, load=load,
+        )
+        for load in (None, 1)
     )
-    assert export_traces_jsonl(session.result.traces) == export_traces_jsonl(
-        serial.result.traces
-    )
-    assert session.servfail == serial.servfail
-    assert session.case2_queries == serial.case2_queries
+    assert once.replay is None
+    assert result_fingerprint(once.result) == result_fingerprint(serial.result)
 
 
 # ----------------------------------------------------------------------
-# load=1 byte-identity: adversary cells
+# Single-session byte-identity: adversary cells
 # ----------------------------------------------------------------------
 
 
@@ -387,27 +410,16 @@ PERSONAS = {
 
 @pytest.mark.parametrize("persona", sorted(PERSONAS))
 def test_adversary_cell_load_one_is_byte_identical_to_serial(persona):
-    adversary = PERSONAS[persona]
-    names = experiment_names()
-
-    serial = run_adversary_cell(
-        make_universe(), correct_bind_config(), names,
-        adversary=adversary, adversary_label=persona, trace=True,
+    (_, serial, forger), (_, session, twin) = _serial_and_session(
+        PERSONAS[persona]
     )
-    session = run_adversary_cell(
-        make_universe(), correct_bind_config(), names,
-        adversary=adversary, adversary_label=persona, trace=True, load=1,
+    assert twin.responses_forged == forger.responses_forged
+    assert session.resolver.engine.queries_sent == (
+        serial.resolver.engine.queries_sent
     )
-
-    assert result_fingerprint(session.result) == result_fingerprint(
-        serial.result
+    assert poisoned_cache_entries(session.resolver, [twin]) == (
+        poisoned_cache_entries(serial.resolver, [forger])
     )
-    assert export_traces_jsonl(session.result.traces) == export_traces_jsonl(
-        serial.result.traces
-    )
-    assert session.responses_forged == serial.responses_forged
-    assert session.upstream_sends == serial.upstream_sends
-    assert session.poisoned_cache_entries == serial.poisoned_cache_entries
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 import pytest
 
-from repro.core import DictionaryAttack, LeakageExperiment, coverage_curve
+from repro.core import (
+    DictionaryAttack,
+    LeakageExperiment,
+    coverage_curve,
+    registry_outage_scenario,
+)
 from repro.dnscore import Name
 from repro.resolver import correct_bind_config
 from repro.core import resolver_config_for, Remedy, universe_params_for
 from repro.workloads import AlexaWorkload, Universe, UniverseParams, WorkloadParams
 
 
-@pytest.fixture(scope="module")
-def hashed_run():
+def run_hashed(scenario=None):
     workload = AlexaWorkload(40, WorkloadParams(seed=44))
     params = UniverseParams(
         modulus_bits=256,
@@ -18,11 +22,18 @@ def hashed_run():
         registry_filler=tuple(workload.registry_filler(300)),
     )
     universe = Universe(workload.domains, params)
+    if scenario is not None:
+        scenario(universe)
     config = resolver_config_for(Remedy.HASHED, correct_bind_config())
     experiment = LeakageExperiment(universe, config, ptr_fraction=0.0)
     result = experiment.run(workload.names(40))
     attack = DictionaryAttack(universe.registry_origin, universe.registry_address)
     return workload, universe, result, attack
+
+
+@pytest.fixture(scope="module")
+def hashed_run():
+    return run_hashed()
 
 
 class TestObservation:
@@ -37,6 +48,13 @@ class TestObservation:
         _, _, result, attack = hashed_run
         digests = attack.observed_digest_labels(result.capture)
         assert len(digests) == len(set(digests))
+
+    def test_blackholed_registry_observes_no_digests(self):
+        """Queries lost in flight never reach the registry operator, so
+        there is nothing to attack."""
+        _, _, result, attack = run_hashed(registry_outage_scenario(rcode=None))
+        assert result.leakage.dlv_queries == 0
+        assert attack.observed_digest_labels(result.capture) == []
 
 
 class TestAttack:

@@ -1,10 +1,13 @@
 """Tests for the multi-user population experiment (Section 7.3.1)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import make_profiles, run_population
+import repro.core.population as population_module
+from repro.core import LeakageClassifier, make_profiles, run_population
 from repro.resolver import correct_bind_config
-from repro.workloads import AlexaWorkload, UniverseParams, WorkloadParams
+from repro.workloads import AlexaWorkload, Universe, UniverseParams, WorkloadParams
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +77,53 @@ class TestGranularity:
         queries than four independent caches."""
         shared, dedicated = results
         assert shared.total_dlv_queries < dedicated.total_dlv_queries
+
+
+@pytest.fixture(scope="module")
+def hashed_results(setting):
+    """Both arms under the hashed-DLV remedy (Section 6.2.2), each with
+    the batch classifier's DLV count over the same universe's capture."""
+    workload, profiles, params = setting
+    params = dataclasses.replace(params, registry_hashed=True)
+    config = correct_bind_config(hashed_dlv=True)
+    names = [name for profile in profiles for name in profile.names]
+    arms = []
+    for shared in (True, False):
+        built = []
+
+        def keep(*args, **kwargs):
+            built.append(Universe(*args, **kwargs))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(population_module, "Universe", keep)
+            result = run_population(
+                workload.domains, profiles, config, shared, params
+            )
+        (universe,) = built
+        batch = LeakageClassifier(
+            universe.registry_zone, universe.registry_address
+        ).report(universe.capture, names)
+        arms.append((result, batch))
+    return arms
+
+
+class TestHashedRemedy:
+    def test_dedicated_resolvers_are_observed_but_name_nothing(
+        self, hashed_results
+    ):
+        _, (dedicated, _) = hashed_results
+        assert dedicated.observed_sources == dedicated.users == 4
+        assert dedicated.attributable_users == 4
+        assert dedicated.aggregate_exposed == 0
+
+    def test_shared_resolver_is_one_unattributable_source(self, hashed_results):
+        (shared, _), _ = hashed_results
+        assert shared.observed_sources == 1
+        assert shared.attributable_users == 0
+        assert shared.aggregate_exposed == 0
+
+    def test_dlv_count_is_the_batch_classifiers(self, hashed_results):
+        for result, batch in hashed_results:
+            assert batch.case2_queries > 0
+            assert result.total_dlv_queries == batch.dlv_queries

@@ -117,6 +117,17 @@ class TestValidation:
         with pytest.raises(RdataError):
             SOA.from_wire(b"\x00\x00" + b"\x00" * 10)
 
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"\x07examplf\x03com\x00\x00\x01 ",  # salt runs past the end
+            b"\x01\x00\x00\x0a\x00\x14\xab",  # hash runs past the end
+        ],
+    )
+    def test_nsec3_rejects_fields_past_the_end(self, wire):
+        with pytest.raises(RdataError):
+            NSEC3.from_wire(wire)
+
 
 class TestDnskey:
     def test_ksk_flag(self):
