@@ -1,14 +1,15 @@
-"""Distributed executor bench: what the lease discipline costs.
+"""Lease-worker bench: what the lease discipline costs.
 
 Three arms over the same sharded workload, results in
-``BENCH_distrib.json``:
+``BENCH_distrib.json`` with the host they were measured on:
 
 * **serial**     — ``SerialExecutor``: the single-process baseline;
-* **pool**       — ``MultiprocessingExecutor`` (2 workers): the
-  fork-pool ceiling with no coordination files at all;
-* **distributed** — ``DistributedExecutor`` (2 workers): the same
-  fan-out, but every cell goes through claim → heartbeat → execute →
-  commit → release against an on-disk board.
+* **pool**       — ``FaultTolerantExecutor`` (2 workers, no retries):
+  the fork-pool ceiling with no coordination files at all;
+* **distributed** — one in-process ``run_worker`` draining the same
+  four cells from a fresh ``ResultStore``: every cell goes through
+  claim → heartbeat → execute → commit → release, and
+  ``collect_sweep`` merges the committed cells.
 
 Asserted unconditionally: all three arms fingerprint identically (the
 lease layer never changes a byte of output), and the distributed arm
@@ -21,21 +22,26 @@ tiny CI workloads amortise nothing.
 """
 
 import json
-import tempfile
 import time
 from pathlib import Path
 
+from conftest import host
+
 from repro.core import (
-    DistributedExecutor,
-    MultiprocessingExecutor,
+    FaultTolerantExecutor,
+    ResultStore,
     SerialExecutor,
+    SweepManifest,
     claim_cell,
+    collect_sweep,
     release_lease,
     renew_lease,
     result_fingerprint,
     run_sharded_experiment,
+    run_worker,
     standard_universe_factory,
     standard_workload,
+    write_sweep_manifest,
 )
 from repro.resolver import correct_bind_config
 
@@ -66,6 +72,21 @@ def _run(executor):
     return result, time.perf_counter() - start
 
 
+def _run_worker(root):
+    """Drain the same cells with one lease worker over a fresh store."""
+    store = ResultStore(root)
+    start = time.perf_counter()
+    write_sweep_manifest(
+        store,
+        SweepManifest(
+            sizes=(DOMAINS,), filler_count=FILLER, seed=SEED, shards=SHARDS
+        ),
+    )
+    run_worker(root, "w0", ttl=5.0)
+    outcome = collect_sweep(store, run_missing=False)
+    return outcome.result, time.perf_counter() - start
+
+
 def _lease_cycle_seconds(root):
     """Mean wall clock of one claim → renew → release cycle — the
     per-cell coordination cost (3 fsync'd metadata writes)."""
@@ -81,7 +102,7 @@ def _lease_cycle_seconds(root):
     return (time.perf_counter() - start) / LEASE_CYCLES
 
 
-def test_distributed_vs_pool():
+def test_distributed_vs_pool(tmp_path):
     # Untimed warm-up: fill the process-global hot-path caches so the
     # arms measure executors, not who ran first.
     _run(SerialExecutor())
@@ -89,17 +110,16 @@ def test_distributed_vs_pool():
     serial, serial_seconds = _run(SerialExecutor())
     reference = result_fingerprint(serial)
 
-    pool, pool_seconds = _run(MultiprocessingExecutor(workers=WORKERS))
+    pool, pool_seconds = _run(
+        FaultTolerantExecutor(workers=WORKERS, retries=0, keep_going=False)
+    )
     assert result_fingerprint(pool) == reference
 
-    board_root = tempfile.mkdtemp(prefix="bench-distrib-")
-    distributed, distributed_seconds = _run(
-        DistributedExecutor(workers=WORKERS, root=board_root, ttl=5.0)
-    )
+    distributed, distributed_seconds = _run_worker(tmp_path / "store")
     assert result_fingerprint(distributed) == reference
-    assert list(Path(board_root).glob("leases/*.lease")) == []
+    assert list((tmp_path / "store").glob("*/*.lease")) == []
 
-    cycle_seconds = _lease_cycle_seconds(board_root)
+    cycle_seconds = _lease_cycle_seconds(tmp_path)
     lease_overhead = (cycle_seconds * SHARDS) / distributed_seconds
     assert lease_overhead < 0.05, (
         f"lease coordination should be <5% of the sweep, measured "
@@ -112,6 +132,7 @@ def test_distributed_vs_pool():
     )
 
     payload = {
+        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,

@@ -1,8 +1,10 @@
 """Parallel-scaling bench: serial vs 2 and 4 workers, identical output.
 
 One sharded workload (fixed seed, fixed shard count) runs on the
-in-process executor and then on fork pools of 2 and 4 workers.  Two
-things are measured and recorded in ``BENCH_parallel.json``:
+in-process executor and then on fork pools of 2 and 4 workers (the
+fail-fast ``FaultTolerantExecutor``: no retries, no quarantine).  Two
+things are measured and recorded in ``BENCH_parallel.json``, with the
+host they were measured on:
 
 * **speedup** — serial wall-clock over pooled wall-clock, per width;
 * **merge overhead** — the share of the serial arm spent folding shard
@@ -22,8 +24,10 @@ import multiprocessing
 import time
 from pathlib import Path
 
+from conftest import host
+
 from repro.core import (
-    MultiprocessingExecutor,
+    FaultTolerantExecutor,
     SerialExecutor,
     merge_shard_results,
     plan_shards,
@@ -92,7 +96,9 @@ def test_parallel_scaling():
     arms = {}
     for width in WIDTHS:
         seconds, result = _timed_run(
-            factory, names, MultiprocessingExecutor(width)
+            factory,
+            names,
+            FaultTolerantExecutor(workers=width, retries=0, keep_going=False),
         )
         assert result_fingerprint(result) == reference, (
             f"{width}-worker merge diverged from the serial reference"
@@ -109,6 +115,7 @@ def test_parallel_scaling():
 
     merge_seconds = _merge_seconds(factory, names)
     payload = {
+        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,

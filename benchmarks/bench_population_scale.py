@@ -24,10 +24,11 @@ through it immediately.
 import dataclasses
 import json
 import os
-import platform
 import resource
 import sys
 from pathlib import Path
+
+from conftest import host
 
 from repro.core import ReplayParams, run_population_replay
 
@@ -48,20 +49,6 @@ def _peak_rss_mb() -> float:
     # Linux reports KiB, macOS bytes.
     divisor = 1024.0 if sys.platform != "darwin" else 1024.0 * 1024.0
     return peak / divisor
-
-
-def _host() -> dict:
-    """The machine a run was measured on: rates only compare within one."""
-    return {
-        "cpu_count": os.cpu_count(),
-        # CPUs this process may run on (Linux only).
-        "affinity": (
-            sorted(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else None
-        ),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
 
 
 def _params(users: int, queries: int) -> ReplayParams:
@@ -123,7 +110,7 @@ def test_population_scale():
 
     peak_rss = _peak_rss_mb()
     payload = {
-        "host": _host(),
+        "host": host(),
         "sweep_queries": SWEEP_QUERIES,
         "users_sweep": {str(users): sweep[users] for users in USERS_SWEEP},
         "scale": {

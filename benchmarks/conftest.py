@@ -14,6 +14,7 @@ the rows/series so the output can be compared against the publication
 from __future__ import annotations
 
 import os
+import platform
 from typing import List
 
 import pytest
@@ -55,3 +56,17 @@ def emit(text: str) -> None:
     print("=" * 72)
     print(text)
     print("=" * 72)
+
+
+def host() -> dict:
+    """The machine a run was measured on: rates only compare within one."""
+    return {
+        "cpu_count": os.cpu_count(),
+        # CPUs this process may run on (Linux only).
+        "affinity": (
+            sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None
+        ),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }

@@ -86,7 +86,6 @@ def sharded_leakage_sweep(
     config: Optional[ResolverConfig] = None,
     shards: Optional[int] = None,
     parallelism: int = 1,
-    executor=None,
     store=None,
     fail_fast: bool = False,
     timeout: Optional[float] = None,
@@ -101,7 +100,9 @@ def sharded_leakage_sweep(
     one incremental warm-cache walk — the population-of-resolvers
     reading of the paper's sweep rather than the single-resolver one.
     For a fixed ``(seed, shards)`` the points are byte-identical
-    regardless of ``parallelism`` or executor choice.
+    regardless of ``parallelism``; ``shards`` defaults to
+    ``max(parallelism, 1)``, so pin it whenever the worker count
+    varies.
 
     With ``store`` (a :class:`~repro.core.store.ResultStore`) the sweep
     runs crash-safe through :func:`~repro.core.store.run_stored_sweep`:
@@ -133,7 +134,6 @@ def sharded_leakage_sweep(
                 seed=seed,
                 shards=shards,
                 parallelism=parallelism,
-                executor=executor,
                 store=store,
                 timeout=timeout,
                 retries=retries,
@@ -150,7 +150,6 @@ def sharded_leakage_sweep(
                 seed=seed,
                 shards=shards,
                 parallelism=parallelism,
-                executor=executor,
             )
         leak = result.leakage
         points.append(

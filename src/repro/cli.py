@@ -89,24 +89,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         store = ResultStore(args.store)
+    # The worker count never sets the shard count: each shard is a
+    # fresh resolver, so the shard count is part of the measurement.
+    shards = args.shards if args.shards is not None else 1
     if args.distributed is not None:
         if store is None:
             print("--distributed requires --store DIR", file=sys.stderr)
             return 2
-        return _run_distributed_sweep(args, sizes)
-    if args.parallelism > 1 or args.shards is not None or store is not None:
-        shards = args.shards if args.shards is not None else args.parallelism
-        executor = None
-        if args.executor == "serial":
-            from .core import SerialExecutor
-
-            executor = SerialExecutor()
+        return _run_distributed_sweep(args, sizes, shards)
+    if args.shards is not None or store is not None:
         points = sharded_leakage_sweep(
             sizes=sizes,
             filler_count=args.filler,
             shards=shards,
             parallelism=args.parallelism,
-            executor=executor,
             store=store,
             fail_fast=args.fail_fast,
             timeout=args.timeout,
@@ -115,7 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(
             f"sharded sweep: {shards} shard(s), "
-            f"{args.parallelism} worker(s), executor={args.executor}"
+            f"{args.parallelism} worker(s)"
             + (f", store={args.store}" if store is not None else "")
         )
         print()
@@ -146,7 +142,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_distributed_sweep(args: argparse.Namespace, sizes: List[int]) -> int:
+def _run_distributed_sweep(
+    args: argparse.Namespace, sizes: List[int], shards: int
+) -> int:
     """The ``repro sweep --distributed N`` coordinator path."""
     from .analysis import fig8_dlv_queries, fig9_leak_proportion
     from .analysis.figures import LeakageSweepPoint
@@ -157,13 +155,13 @@ def _run_distributed_sweep(args: argparse.Namespace, sizes: List[int]) -> int:
         workers=args.distributed,
         sizes=sizes,
         filler_count=args.filler,
-        shards=args.shards,
+        shards=shards,
         ttl=args.lease_ttl,
         retries=args.retries,
     )
     print(
-        f"distributed sweep: {args.distributed} worker(s), "
-        f"store={args.store}"
+        f"distributed sweep: {shards} shard(s), "
+        f"{args.distributed} worker(s), store={args.store}"
     )
     print(f"  {outcome.describe()}")
     for worker_id, code in sorted(outcome.worker_exits.items()):
@@ -758,28 +756,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=1,
-        help="worker processes for the sharded runner (default 1: the "
-        "incremental serial sweep)",
+        help="worker processes for the cells of a sharded or stored "
+        "sweep (default 1); it never changes a printed number, and "
+        "without --shards or --store the sweep is one resolver walking "
+        "the list in this process",
     )
     sweep.add_argument(
         "--shards",
         type=int,
-        help="shard count (default: --parallelism); pin it while varying "
-        "--parallelism for byte-identical output across worker counts",
-    )
-    sweep.add_argument(
-        "--executor",
-        choices=("process", "serial"),
-        default="process",
-        help="sharded execution backend: fork worker pool, or the "
-        "in-process fallback for debugging",
+        metavar="K",
+        help="split each size into K shards, each a fresh resolver from "
+        "a derived seed: the population-of-resolvers reading, which "
+        "prints different counts from the paper's single-resolver walk "
+        "(default: the walk; 1 with --store or --distributed)",
     )
     sweep.add_argument(
         "--store",
         metavar="DIR",
         help="crash-safe result store: completed shard cells commit here "
         "as they finish and are reused on later runs (implies the "
-        "sharded runner)",
+        "sharded runner, with 1 shard unless --shards)",
     )
     sweep.add_argument(
         "--resume",

@@ -32,12 +32,10 @@ without losing a cell to a dead worker:
   — is **quarantined** via a marker file all workers see, so poison
   cells are skipped fleet-wide instead of ping-ponging between hosts.
 
-Three entry points sit on top of the one drain loop:
+Two entry points sit on top of the one drain loop, both over the
+shared :class:`~.store.ResultStore` (the lease workers are not an
+``Executor``: they drain a store's cell set, not a task list):
 
-* :class:`DistributedExecutor` — the ``Executor``-protocol face
-  (``run`` / ``run_with_quarantine``), so :func:`~.store.run_stored_sweep`,
-  the chaos/adversary matrices, and ``sharded_leakage_sweep`` gain
-  lease-coordinated local workers for free;
 * :func:`run_worker` — one independent worker process joining a sweep
   described by the store's **manifest** (``python -m repro work
   --store DIR --worker-id ID``), the multi-host path;
@@ -50,26 +48,21 @@ Everything operational (claims, takeovers, renewals, fenced commits,
 duplicates) is counted in :class:`DistribStats` and emitted as
 ``distrib.*`` / ``executor.lease_*`` metrics and journal events; none
 of it touches the merged :class:`~.experiment.ExperimentResult`, which
-stays byte-identical to the serial reference — the same contract every
-executor in :mod:`repro.core.parallel` honours.
+stays byte-identical to the serial reference — the same contract the
+executors in :mod:`repro.core.parallel` honour.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import dataclasses
 import fcntl
-import hashlib
 import itertools
 import json
-import multiprocessing
 import os
-import pickle
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import traceback
@@ -92,20 +85,13 @@ from ..resolver import (
 )
 from .experiment import ExperimentResult
 from .parallel import (
-    ExecutorHealth,
-    QuarantineError,
     QuarantinedCell,
-    TaskFailure,
-    WorkerLost,
     _ShardTask,
     backoff_schedule,
     merge_shard_results,
     plan_shards,
-    task_context,
 )
 from .store import (
-    LEASE_SUFFIX,
-    QUARANTINE_SUFFIX,
     ResultStore,
     StoreError,
     SweepJournal,
@@ -535,7 +521,7 @@ def read_marker(path: Path) -> Optional[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 
 def drain_board(
-    board,
+    board: "SweepBoard",
     worker_id: str,
     ttl: float = DEFAULT_LEASE_TTL,
     retries: int = 2,
@@ -547,15 +533,11 @@ def drain_board(
     fault: Optional[WorkerFault] = None,
     journal: Optional[SweepJournal] = None,
     metrics=None,
-    on_commit: Optional[Callable[[str, Any], None]] = None,
 ) -> WorkerReport:
     """Drain every open cell on *board* under the lease discipline.
 
-    *board* is duck-typed (``cells() / is_done(cid) / lease_path(cid) /
-    quarantine_path(cid) / execute(cid) / commit(cid, result, fenced) /
-    describe(cid)``); :class:`SweepBoard` drives the shared
-    :class:`~.store.ResultStore`, :class:`ExecutorBoard` a private
-    coordination directory.
+    *board* is a :class:`SweepBoard`: the cell set of one sweep over
+    the shared :class:`~.store.ResultStore`.
 
     The loop rescans until every cell is committed or quarantined:
     committed cells are skipped, unclaimed cells claimed, live foreign
@@ -704,8 +686,6 @@ def drain_board(
             elif outcome == "committed":
                 stats.committed += 1
                 note("commit", cell=cid, token=lease.token)
-                if on_commit is not None:
-                    on_commit(cid, result)
             elif outcome == "duplicate":
                 stats.duplicates += 1
                 note("duplicate", cell=cid)
@@ -735,7 +715,7 @@ def drain_board(
 
 
 # ----------------------------------------------------------------------
-# Boards
+# The board
 # ----------------------------------------------------------------------
 
 class SweepBoard:
@@ -805,383 +785,6 @@ class SweepCell:
     key: Any  # CellKey
     task: Callable[[], ExperimentResult]
     stage: int
-
-
-class ExecutorBoard:
-    """A board over a private coordination directory, for
-    :class:`DistributedExecutor`: results are pickled envelopes
-    committed with link-if-absent, so the first finisher wins and a
-    racing duplicate is detected by payload digest."""
-
-    def __init__(self, root, tasks: Sequence[Callable[[], Any]]):
-        self.root = Path(root)
-        self.tasks = tasks
-        for sub in ("leases", "results", "quarantine"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
-        self._ids = [f"task-{index:05d}" for index in range(len(tasks))]
-
-    @staticmethod
-    def index_of(cid: str) -> int:
-        return int(cid.split("-")[-1])
-
-    def cells(self) -> Sequence[str]:
-        return self._ids
-
-    def result_path(self, cid: str) -> Path:
-        return self.root / "results" / f"{cid}.pkl"
-
-    def lease_path(self, cid: str) -> Path:
-        return self.root / "leases" / f"{cid}{LEASE_SUFFIX}"
-
-    def quarantine_path(self, cid: str) -> Path:
-        return self.root / "quarantine" / f"{cid}{QUARANTINE_SUFFIX}"
-
-    def is_done(self, cid: str) -> bool:
-        return self.result_path(cid).exists()
-
-    def describe(self, cid: str) -> str:
-        index = self.index_of(cid)
-        return task_context(self.tasks[index], index)
-
-    def execute(self, cid: str) -> Any:
-        return self.tasks[self.index_of(cid)]()
-
-    def commit(self, cid: str, result: Any, fenced: bool) -> str:
-        if fenced and not self.is_done(cid):
-            return "skipped"
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = json.dumps(
-            {
-                "format": LEASE_FORMAT,
-                "cell": cid,
-                "payload_sha256": hashlib.sha256(payload).hexdigest(),
-                "payload_b64": base64.b64encode(payload).decode("ascii"),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        destination = self.result_path(cid)
-        temp = destination.with_suffix(f".tmp.{os.getpid()}")
-        with open(temp, "wb") as handle:
-            handle.write(envelope)
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            os.link(temp, destination)
-            return "committed"
-        except FileExistsError:
-            mine = hashlib.sha256(payload).hexdigest()
-            existing = self.load_envelope(cid)
-            theirs = existing.get("payload_sha256") if existing else None
-            return "duplicate" if theirs == mine else "conflict"
-        finally:
-            os.unlink(temp)
-
-    def load_envelope(self, cid: str) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(
-                self.result_path(cid).read_text(encoding="utf-8")
-            )
-        except Exception:
-            return None
-
-    def load_result(self, cid: str) -> Tuple[bool, Any]:
-        """Verified load: ``(ok, value)``; ``ok=False`` means missing
-        or corrupt (the corrupt file is removed so workers re-run)."""
-        envelope = self.load_envelope(cid)
-        if envelope is None:
-            return False, None
-        try:
-            payload = base64.b64decode(
-                envelope["payload_b64"].encode("ascii"), validate=True
-            )
-            if (
-                hashlib.sha256(payload).hexdigest()
-                != envelope["payload_sha256"]
-            ):
-                raise ValueError("payload digest mismatch")
-            return True, pickle.loads(payload)
-        except Exception:
-            try:
-                os.unlink(self.result_path(cid))
-            except OSError:
-                pass
-            return False, None
-
-
-# ----------------------------------------------------------------------
-# DistributedExecutor: the Executor-protocol face
-# ----------------------------------------------------------------------
-
-def _executor_worker_main(
-    board: ExecutorBoard,
-    worker_id: str,
-    params: Dict[str, Any],
-    fault: Optional[WorkerFault],
-) -> None:
-    """Forked worker body: drain the board, write a report, exit hard
-    (``os._exit`` skips inherited finalizers, like the classic pool)."""
-    status = 0
-    try:
-        report = drain_board(
-            board,
-            worker_id,
-            ttl=params["ttl"],
-            retries=params["retries"],
-            backoff_base=params["backoff_base"],
-            poll_interval=params["poll_interval"],
-            max_takeovers=params["max_takeovers"],
-            fault=fault,
-        )
-        report_path = board.root / "workers" / f"{worker_id}.json"
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(
-            json.dumps(report.as_dict(), sort_keys=True), encoding="utf-8"
-        )
-    except BaseException:  # pragma: no cover - defensive
-        status = 1
-    finally:
-        os._exit(status)
-
-
-class DistributedExecutor:
-    """Lease-coordinated local worker fleet behind the ``Executor``
-    protocol.
-
-    ``run_with_quarantine(tasks, on_result)`` forks ``workers``
-    processes that drain an :class:`ExecutorBoard` under the lease
-    discipline: a SIGKILLed worker's cell is taken over by a peer
-    after ``ttl``, retries/quarantine work per cell exactly as on
-    :class:`~.parallel.FaultTolerantExecutor`, and the parent streams
-    verified results to ``on_result`` as they land — so
-    ``run_stored_sweep`` commits cells incrementally no matter which
-    worker produced them.  If the *entire* fleet dies with cells still
-    open, the parent respawns replacements (up to ``max_restarts``)
-    rather than hanging or losing the sweep.
-
-    Without ``fork`` the same board is drained in-process — the lease
-    files still arbitrate, so several independent *processes* pointed
-    at one ``root`` cooperate even on spawn-only platforms.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        root: Optional[str] = None,
-        ttl: float = 5.0,
-        retries: int = 2,
-        keep_going: bool = True,
-        backoff_base: float = 0.05,
-        poll_interval: float = 0.05,
-        max_takeovers: int = DEFAULT_MAX_TAKEOVERS,
-        max_restarts: Optional[int] = None,
-        worker_faults: Optional[Dict[int, WorkerFault]] = None,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.root = root
-        self.ttl = ttl
-        self.retries = retries
-        self.keep_going = keep_going
-        self.backoff_base = backoff_base
-        self.poll_interval = poll_interval
-        self.max_takeovers = max_takeovers
-        self.max_restarts = max_restarts if max_restarts is not None else workers
-        self.worker_faults = dict(worker_faults or {})
-        self.health = ExecutorHealth()
-        self.stats = DistribStats()
-        self.leaked_leases = 0
-
-    @staticmethod
-    def fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    # -- Executor protocol -------------------------------------------------
-
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> List[Any]:
-        results, quarantined, _ = self.run_with_quarantine(tasks)
-        if quarantined:
-            raise QuarantineError(quarantined)
-        return [result for result in results]
-
-    # -- full-fat API ------------------------------------------------------
-
-    def run_with_quarantine(
-        self,
-        tasks: Sequence[Callable[[], Any]],
-        on_result: Optional[Callable[[int, Any], None]] = None,
-    ) -> Tuple[List[Optional[Any]], List[QuarantinedCell], ExecutorHealth]:
-        health = ExecutorHealth()
-        self.health = health
-        self.stats = DistribStats()
-        results: List[Optional[Any]] = [None] * len(tasks)
-        quarantined: List[QuarantinedCell] = []
-        if not tasks:
-            return results, quarantined, health
-        own_root = self.root is None
-        root = Path(self.root or tempfile.mkdtemp(prefix="repro-distrib-"))
-        board = ExecutorBoard(root, tasks)
-        params = {
-            "ttl": self.ttl,
-            "retries": self.retries,
-            "backoff_base": self.backoff_base,
-            "poll_interval": self.poll_interval,
-            "max_takeovers": self.max_takeovers,
-        }
-        if not self.fork_available():
-            report = drain_board(
-                board,
-                "w0",
-                fault=self.worker_faults.get(0),
-                **params,
-            )
-            self.stats = self.stats.merge(report.stats)
-            self._collect(
-                board, results, quarantined, health, on_result, set(), set()
-            )
-            self._finish(board, own_root, quarantined)
-            return results, quarantined, health
-
-        context_mp = multiprocessing.get_context("fork")
-        processes: Dict[str, Any] = {}
-        spawned = 0
-
-        def spawn(index: int) -> None:
-            nonlocal spawned
-            worker_id = f"w{index}"
-            process = context_mp.Process(
-                target=_executor_worker_main,
-                args=(board, worker_id, params, self.worker_faults.get(index)),
-                name=f"distrib-{worker_id}",
-            )
-            process.start()
-            processes[worker_id] = process
-            spawned += 1
-
-        for index in range(min(self.workers, len(tasks))):
-            spawn(index)
-
-        delivered: set = set()
-        reported: set = set()
-        restarts = 0
-        try:
-            while True:
-                self._collect(
-                    board, results, quarantined, health, on_result,
-                    delivered, reported,
-                )
-                if not self.keep_going and quarantined:
-                    raise self._failure_for(quarantined[0])
-                open_cells = [
-                    cid
-                    for cid in board.cells()
-                    if not board.is_done(cid)
-                    and not board.quarantine_path(cid).exists()
-                ]
-                if not open_cells:
-                    break
-                live = 0
-                for worker_id, process in list(processes.items()):
-                    if process.is_alive():
-                        live += 1
-                        continue
-                    process.join(timeout=0.1)
-                    exitcode = process.exitcode
-                    del processes[worker_id]
-                    if exitcode not in (0, None):
-                        health.worker_lost += 1
-                if live == 0:
-                    # The whole fleet is dead with work remaining:
-                    # respawn rather than losing the sweep.
-                    if restarts >= self.max_restarts:
-                        for cid in open_cells:
-                            index = board.index_of(cid)
-                            cell = QuarantinedCell(
-                                index=index,
-                                context=board.describe(cid),
-                                attempts=1,
-                                error="worker-lost",
-                                detail="every worker died; restart budget spent",
-                            )
-                            quarantined.append(cell)
-                            health.quarantined += 1
-                        break
-                    restarts += 1
-                    health.worker_restarts += 1
-                    spawn(spawned)
-                time.sleep(self.poll_interval)
-            self._collect(
-                board, results, quarantined, health, on_result,
-                delivered, reported,
-            )
-            if not self.keep_going and quarantined:
-                raise self._failure_for(quarantined[0])
-        finally:
-            for process in processes.values():
-                process.join(timeout=5.0)
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=5.0)
-        self._aggregate_reports(board)
-        self._finish(board, own_root, quarantined)
-        return results, quarantined, health
-
-    # -- internals ---------------------------------------------------------
-
-    def _collect(
-        self, board, results, quarantined, health, on_result,
-        delivered: set, reported: set,
-    ) -> None:
-        for cid in board.cells():
-            index = board.index_of(cid)
-            if cid not in delivered and board.is_done(cid):
-                ok, value = board.load_result(cid)
-                if not ok:
-                    continue  # corrupt envelope removed; workers re-run
-                delivered.add(cid)
-                results[index] = value
-                health.cells_ok += 1
-                if on_result is not None:
-                    on_result(index, value)
-            if cid not in reported and board.quarantine_path(cid).exists():
-                marker = read_marker(board.quarantine_path(cid)) or {}
-                reported.add(cid)
-                cell = QuarantinedCell(
-                    index=index,
-                    context=marker.get("context", board.describe(cid)),
-                    attempts=marker.get("attempts", 1),
-                    error=marker.get("error", "exception"),
-                    detail=marker.get("detail", ""),
-                )
-                quarantined.append(cell)
-                health.quarantined += 1
-
-    @staticmethod
-    def _failure_for(cell: QuarantinedCell) -> TaskFailure:
-        if cell.error == "worker-lost":
-            return WorkerLost(cell.context, None)
-        return TaskFailure(cell.context, cell.detail)
-
-    def _aggregate_reports(self, board: ExecutorBoard) -> None:
-        for path in sorted((board.root / "workers").glob("*.json")):
-            payload = read_marker(path)
-            if payload is None:
-                continue
-            stats = DistribStats(**payload.get("stats", {}))
-            self.stats = self.stats.merge(stats)
-        self.health.retries += self.stats.takeovers
-
-    def _finish(self, board: ExecutorBoard, own_root: bool, quarantined) -> None:
-        self.leaked_leases = len(list((board.root / "leases").glob("*")))
-        if own_root and not quarantined and self.leaked_leases == 0:
-            import shutil
-
-            shutil.rmtree(board.root, ignore_errors=True)
-
-    def emit(self, metrics) -> None:
-        """Feed both counter families into a metrics registry."""
-        self.health.emit(metrics, prefix="executor")
-        self.stats.emit(metrics, prefix="distrib")
 
 
 # ----------------------------------------------------------------------
@@ -1519,7 +1122,7 @@ def run_distributed_sweep(
     sizes: Sequence[int] = (100,),
     filler_count: int = 20000,
     seed: int = 2016,
-    shards: Optional[int] = None,
+    shards: int = 1,
     ttl: float = DEFAULT_LEASE_TTL,
     retries: int = 2,
     poll_interval: float = 0.05,
@@ -1535,13 +1138,17 @@ def run_distributed_sweep(
     peers; if every worker dies, :func:`collect_sweep`'s local
     fallback finishes the remainder in this process.  The merged
     result is byte-identical to the serial reference either way.
+
+    The cell set is ``shards`` shards per size (default 1, the
+    single-resolver cell); ``workers`` only decides who runs each
+    cell, never how many cells there are.
     """
     store = ResultStore(store_root)
     manifest = SweepManifest(
         sizes=tuple(sizes),
         filler_count=filler_count,
         seed=seed,
-        shards=shards if shards is not None else max(workers, 1),
+        shards=shards,
         config_name=config_name,
     )
     write_sweep_manifest(store, manifest)

@@ -113,21 +113,20 @@ class LeakageExperiment:
         names: Sequence[Name],
         parallelism: int = 1,
         shards: Optional[int] = None,
-        executor=None,
     ) -> ExperimentResult:
         """Query every name (type A, plus a deterministic PTR fraction),
         then classify the capture.
 
-        With ``parallelism > 1`` (or an explicit ``shards``/
-        ``executor``) the workload is split into deterministic shards
-        and fanned out by :func:`~repro.core.parallel.run_sharded_experiment`;
+        With ``parallelism > 1`` (or an explicit ``shards``) the
+        workload is split into deterministic shards and fanned out by
+        :func:`~repro.core.parallel.run_sharded_experiment`;
         this requires a ``universe_factory`` (each shard runs in a
         fresh universe built from a derived sub-seed).  Pin ``shards``
         while varying ``parallelism`` to get byte-identical merged
         output across worker counts — the shard plan, not the pool,
         defines the result.
         """
-        if parallelism > 1 or shards is not None or executor is not None:
+        if parallelism > 1 or shards is not None:
             if self.universe_factory is None:
                 raise ValueError(
                     "sharded run requires a universe_factory: construct "
@@ -143,7 +142,6 @@ class LeakageExperiment:
                 seed=self.seed,
                 shards=shards,
                 parallelism=parallelism,
-                executor=executor,
                 ptr_fraction=self._ptr_fraction,
                 dnssec_ok_stub=self._dnssec_ok_stub,
                 trace=self.tracer is not None,
@@ -423,7 +421,6 @@ def run_chaos_matrix(
     configs: Mapping[str, ResolverConfig],
     trace: bool = False,
     parallelism: int = 1,
-    executor=None,
     fail_fast: bool = False,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -479,7 +476,6 @@ def run_chaos_matrix(
     results, quarantined, _ = run_tasks_fault_tolerant(
         tasks,
         parallelism=parallelism,
-        executor=executor,
         timeout=timeout,
         retries=retries,
         fail_fast=fail_fast,
@@ -650,7 +646,6 @@ def run_adversary_matrix(
     configs: Mapping[str, ResolverConfig],
     trace: bool = False,
     parallelism: int = 1,
-    executor=None,
     fail_fast: bool = False,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -709,7 +704,6 @@ def run_adversary_matrix(
     baselines, quarantined, _ = run_tasks_fault_tolerant(
         [make_cell(config, policy_label) for policy_label, config in policies],
         parallelism=parallelism,
-        executor=executor,
         timeout=timeout,
         retries=retries,
         fail_fast=fail_fast,
@@ -747,7 +741,6 @@ def run_adversary_matrix(
     adversary_reports, quarantined, _ = run_tasks_fault_tolerant(
         adversary_tasks,
         parallelism=parallelism,
-        executor=executor,
         timeout=timeout,
         retries=retries,
         fail_fast=fail_fast,

@@ -13,10 +13,13 @@ contract:
 * each shard runs in a **fresh universe** built from its sub-seed, so
   shards share no caches, no clock, and no capture — a shard's result
   is a pure function of ``(factory, config, shard names, sub-seed)``;
-* :class:`SerialExecutor` and :class:`MultiprocessingExecutor` run the
-  same shard tasks in-process or on a ``fork`` worker pool; the
-  executor choice is *provably invisible* in the output (enforced by
-  ``tests/core/test_parallel_equivalence.py``);
+* :class:`SerialExecutor` runs the shard tasks in-process, and
+  :class:`FaultTolerantExecutor` on forked workers with timeouts,
+  retries and quarantine; the executor choice is *provably invisible*
+  in the output (enforced by
+  ``tests/core/test_parallel_equivalence.py``).  The third way to run
+  cells, the lease workers of :mod:`repro.core.distrib`, drains a
+  shared :class:`~repro.core.store.ResultStore` instead of a task list;
 * :func:`merge_shard_results` re-sorts shard results by their stable
   shard index and folds them with the monoid merges below, renumbering
   trace ids so the exported trace JSONL is byte-identical no matter
@@ -603,11 +606,6 @@ def result_fingerprint(result: ExperimentResult) -> Dict[str, Any]:
 _ACTIVE_TASKS: Optional[Sequence[Callable[[], Any]]] = None
 
 
-def _invoke_task(index: int) -> Any:
-    assert _ACTIVE_TASKS is not None, "worker started outside run_tasks"
-    return _ACTIVE_TASKS[index]()
-
-
 def task_context(task: Any, index: int = -1) -> str:
     """A human-readable description of *task* for failure reports.
 
@@ -854,12 +852,18 @@ class FaultTolerantExecutor:
     a deterministic backoff schedule, dead-worker detection, and poison
     -cell quarantine.
 
-    Process isolation (one forked worker per attempt, handed its task
-    by index like the classic pool) is used whenever it is needed to
-    contain a failure — more than one worker, a timeout to enforce, or
-    ``isolate=True`` — and available on the platform.  Otherwise tasks
-    run in-process with the same retry/quarantine semantics (minus
-    crash containment, which only a separate process can provide).
+    Process isolation (one forked worker per attempt, which inherits
+    the task list and is handed its task by index) is used whenever it
+    is needed to contain a failure — more than one worker, a timeout to
+    enforce, or ``isolate=True`` — and available on the platform.
+    Otherwise tasks run in-process with the same retry/quarantine
+    semantics (minus crash containment, which only a separate process
+    can provide).
+
+    ``FaultTolerantExecutor(workers=n, retries=0, keep_going=False)``
+    is the plain fail-fast pool :func:`resolve_executor` builds for
+    ``parallelism > 1``: the first failing cell raises its typed
+    failure.
 
     Failure handling:
 
@@ -1121,66 +1125,18 @@ class FaultTolerantExecutor:
             process.join(timeout=5.0)
 
 
-class MultiprocessingExecutor:
-    """A ``fork``-based worker pool.
-
-    Tasks are handed to workers by index: the child inherits the task
-    list through fork, so only the index travels out and only the
-    (picklable) result travels back.  On platforms without ``fork`` —
-    or with ``workers <= 1`` — it degrades to in-process execution,
-    which is safe because executors are output-invisible.
-
-    Failure semantics (fail-fast, no retries): a task exception raises
-    :class:`TaskFailure` naming the failing cell's (config, seed,
-    shard) context with the worker traceback attached, and a worker
-    killed mid-task raises a typed :class:`WorkerLost` instead of
-    hanging the pool.  For retries, timeouts, and quarantine, use
-    :class:`FaultTolerantExecutor` directly.
-    """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    @staticmethod
-    def fork_available() -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        if self.workers == 1 or len(tasks) <= 1 or not self.fork_available():
-            return self._run_serial(tasks)
-        engine = FaultTolerantExecutor(
-            workers=min(self.workers, len(tasks)),
-            timeout=None,
-            retries=0,
-            keep_going=False,
-            isolate=True,
-        )
-        results, _, _ = engine.run_with_quarantine(tasks)
-        return [result for result in results]  # type: ignore[misc]
-
-    @staticmethod
-    def _run_serial(tasks: Sequence[Callable[[], T]]) -> List[T]:
-        results: List[T] = []
-        for index, task in enumerate(tasks):
-            try:
-                results.append(task())
-            except Exception as exc:
-                raise TaskFailure(
-                    task_context(task, index), traceback.format_exc()
-                ) from exc
-        return results
-
-
 def resolve_executor(parallelism: int, executor=None):
     """The executor for a requested worker count: an explicit executor
-    wins; otherwise ``parallelism > 1`` gets a fork pool and anything
-    else the in-process fallback."""
+    wins; otherwise ``parallelism > 1`` gets a fail-fast fork pool
+    (:class:`FaultTolerantExecutor` without retries, which runs
+    in-process for one task or without ``fork``) and anything else the
+    in-process fallback."""
     if executor is not None:
         return executor
     if parallelism > 1:
-        return MultiprocessingExecutor(parallelism)
+        return FaultTolerantExecutor(
+            workers=parallelism, retries=0, keep_going=False
+        )
     return SerialExecutor()
 
 
@@ -1197,7 +1153,6 @@ def run_tasks(
 def run_tasks_fault_tolerant(
     tasks: Sequence[Callable[[], T]],
     parallelism: int = 1,
-    executor=None,
     timeout: Optional[float] = None,
     retries: int = 0,
     fail_fast: bool = False,
@@ -1206,35 +1161,19 @@ def run_tasks_fault_tolerant(
 ) -> Tuple[List[Optional[T]], List[QuarantinedCell], ExecutorHealth]:
     """Fan *tasks* out with failure containment.
 
-    The fault-tolerant analogue of :func:`run_tasks`: returns an
-    index-aligned result list (``None`` where a cell was quarantined),
-    the quarantine record, and the run's health counters.  An explicit
-    :class:`FaultTolerantExecutor` is used as given; a legacy executor
-    (:class:`SerialExecutor`, :class:`MultiprocessingExecutor`) runs the
-    tasks with its own fail-fast semantics and reports empty quarantine.
+    The fault-tolerant analogue of :func:`run_tasks`: runs *tasks* on a
+    :class:`FaultTolerantExecutor` of ``parallelism`` workers and
+    returns an index-aligned result list (``None`` where a cell was
+    quarantined), the quarantine record, and the run's health counters.
     """
-    if executor is None:
-        executor = FaultTolerantExecutor(
-            workers=max(parallelism, 1),
-            timeout=timeout,
-            retries=retries,
-            keep_going=not fail_fast,
-            backoff_base=backoff_base,
-        )
-    # Duck-typed, not isinstance: any executor offering the quarantine
-    # protocol (FaultTolerantExecutor, distrib.DistributedExecutor)
-    # gets streamed results and quarantine reporting.
-    if hasattr(executor, "run_with_quarantine"):
-        return executor.run_with_quarantine(tasks, on_result=on_result)
-    results = executor.run(tasks)
-    if on_result is not None:
-        for index, result in enumerate(results):
-            on_result(index, result)
-    return (
-        list(results),
-        [],
-        ExecutorHealth(cells_ok=len(results)),
+    executor = FaultTolerantExecutor(
+        workers=max(parallelism, 1),
+        timeout=timeout,
+        retries=retries,
+        keep_going=not fail_fast,
+        backoff_base=backoff_base,
     )
+    return executor.run_with_quarantine(tasks, on_result=on_result)
 
 
 # ----------------------------------------------------------------------

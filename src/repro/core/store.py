@@ -725,7 +725,6 @@ def run_stored_sweep(
     seed: int = 0,
     shards: Optional[int] = None,
     parallelism: int = 1,
-    executor: Optional[FaultTolerantExecutor] = None,
     store: Optional[ResultStore] = None,
     ptr_fraction: float = 0.01,
     dnssec_ok_stub: bool = True,
@@ -816,16 +815,15 @@ def run_stored_sweep(
         tasks.append(task)
         task_specs.append(spec)
 
-    if executor is None:
-        executor = FaultTolerantExecutor(
-            workers=max(parallelism, 1),
-            timeout=timeout,
-            retries=retries,
-            keep_going=not fail_fast,
-            backoff_base=backoff_base,
-            # Injected crashes need a worker process to die in.
-            isolate=True if injection is not None else None,
-        )
+    executor = FaultTolerantExecutor(
+        workers=max(parallelism, 1),
+        timeout=timeout,
+        retries=retries,
+        keep_going=not fail_fast,
+        backoff_base=backoff_base,
+        # Injected crashes need a worker process to die in.
+        isolate=True if injection is not None else None,
+    )
 
     fresh: Dict[int, ExperimentResult] = {}
 

@@ -6,8 +6,7 @@ byte-identical to the serial reference across 3 seeds, with zero
 leaked lease files and no hung children.
 """
 
-import functools
-import json
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -19,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.core import (
-    DistributedExecutor,
     Fenced,
     ResultStore,
     SerialExecutor,
@@ -27,19 +25,19 @@ from repro.core import (
     WorkerFault,
     claim_cell,
     collect_sweep,
+    drain_board,
     load_sweep_manifest,
     release_lease,
     renew_lease,
     result_fingerprint,
     run_sharded_experiment,
-    run_stored_sweep,
     run_worker,
     spawn_worker_process,
     standard_universe_factory,
     standard_workload,
     write_sweep_manifest,
 )
-from repro.core.distrib import Lease, read_lease
+from repro.core.distrib import Lease, SweepBoard, read_lease, read_marker
 from repro.core.metrics import MetricsRegistry
 from repro.resolver import correct_bind_config
 
@@ -47,12 +45,6 @@ DOMAINS = 12
 FILLER = 150
 SHARDS = 3
 SEEDS = (2016, 2017, 2018)
-
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-needs_fork = pytest.mark.skipif(
-    not HAVE_FORK, reason="needs the fork start method"
-)
 
 
 def _reference(seed):
@@ -212,116 +204,38 @@ class TestLease:
 
 
 # ----------------------------------------------------------------------
-# DistributedExecutor: Executor-protocol byte-identity
+# One lease worker's drain: quarantine and metrics
 # ----------------------------------------------------------------------
 
-def _task(value):
-    return value * 3
+class TestDrainBoard:
+    def test_poison_task_quarantined_not_fatal(self, tmp_path):
+        """A cell that raises on every attempt is quarantined with a
+        marker every worker sees; the healthy cells still commit."""
 
-
-def _task_after_w0_claims(value, leases: Path, gate: Path):
-    """``_task``, held until worker ``w0`` has claimed a cell.
-
-    ``w0`` is the worker set to die on its first claim.  Without the
-    hold, on a loaded host its peers can drain every cell before it
-    starts, so it never claims and never dies.  The first peer to see
-    a ``w0`` lease opens *gate* for the others: a takeover later
-    replaces that lease.  After a minute it gives up waiting, and the
-    test's own assertions report what went wrong.
-    """
-    deadline = time.monotonic() + 60.0
-    while not gate.exists() and time.monotonic() < deadline:
-        for path in leases.glob(f"*{ResultStore.LEASE_SUFFIX}"):
-            try:
-                lease = read_lease(path)
-            except FileNotFoundError:
-                continue
-            if lease is not None and lease.owner == "w0":
-                gate.touch()
-                break
-        else:
-            time.sleep(0.01)
-    return _task(value)
-
-
-class TestDistributedExecutor:
-    def test_plain_run_matches_serial(self):
-        tasks = [functools.partial(_task, i) for i in range(7)]
-        executor = DistributedExecutor(workers=3, ttl=2.0)
-        assert executor.run(tasks) == SerialExecutor().run(tasks)
-        assert executor.leaked_leases == 0
-        _no_hung_children()
-
-    def test_byte_identity_through_run_stored_sweep(self, tmp_path):
-        """The headline protocol claim: run_stored_sweep gains
-        lease-coordinated workers just by passing the executor."""
-        seed = SEEDS[0]
-        factory = standard_universe_factory(
-            DOMAINS, filler_count=FILLER, workload_seed=seed
-        )
-        names = standard_workload(DOMAINS, seed=seed).names(DOMAINS)
-        metrics = MetricsRegistry()
-        outcome = run_stored_sweep(
-            factory,
-            correct_bind_config(),
-            names,
-            seed=seed,
-            shards=SHARDS,
-            store=ResultStore(tmp_path / "store"),
-            executor=DistributedExecutor(workers=2, ttl=5.0),
-            metrics=metrics,
-        )
-        assert outcome.complete and outcome.cells_rerun == SHARDS
-        assert result_fingerprint(outcome.result) == result_fingerprint(
-            _reference(seed)
-        )
-        _no_hung_children()
-
-    @needs_fork
-    def test_sigkilled_worker_cell_is_taken_over(self, tmp_path):
-        board = tmp_path / "board"
-        tasks = [
-            functools.partial(
-                _task_after_w0_claims, i, board / "leases", tmp_path / "gate"
-            )
-            for i in range(6)
-        ]
-        executor = DistributedExecutor(
-            workers=3,
-            root=str(board),
-            ttl=0.6,
-            worker_faults={0: WorkerFault(die_after_claims=1)},
-        )
-        results, quarantined, health = executor.run_with_quarantine(tasks)
-        assert results == [i * 3 for i in range(6)]
-        assert quarantined == []
-        assert health.worker_lost >= 1
-        assert executor.stats.takeovers >= 1
-        assert executor.leaked_leases == 0
-        _no_hung_children()
-
-    @needs_fork
-    def test_poison_task_quarantined_not_fatal(self):
         def boom():
             raise ValueError("poison")
 
-        tasks = [functools.partial(_task, 0), boom, functools.partial(_task, 2)]
-        executor = DistributedExecutor(workers=2, ttl=2.0, retries=1)
-        results, quarantined, health = executor.run_with_quarantine(tasks)
-        assert results[0] == 0 and results[2] == 6 and results[1] is None
-        assert len(quarantined) == 1 and quarantined[0].index == 1
-        assert health.quarantined == 1
-        # fail-fast protocol face raises instead.
-        with pytest.raises(RuntimeError):
-            DistributedExecutor(workers=2, ttl=2.0, retries=0).run(tasks)
-        _no_hung_children()
+        store = ResultStore(tmp_path / "store")
+        cells = _manifest(SEEDS[0]).cells()
+        poison = cells[1] = dataclasses.replace(cells[1], task=boom)
+        retries = 1
+        report = drain_board(
+            SweepBoard(store, cells), "w0", ttl=2.0, retries=retries
+        )
+        marker = read_marker(store.quarantine_path_for(poison.key.digest()))
+        assert marker["error"] == "exception"
+        assert marker["attempts"] == retries + 1
+        assert report.stats.quarantined == 1
+        for cell in cells:
+            committed = store.path_for(cell.key.digest()).exists()
+            assert committed == (cell is not poison)
+        assert list((tmp_path / "store").glob("*/*.lease")) == []
 
-    def test_metrics_emission_vocabulary(self):
-        tasks = [functools.partial(_task, i) for i in range(3)]
-        executor = DistributedExecutor(workers=2, ttl=2.0)
-        executor.run(tasks)
+    def test_metrics_emission_vocabulary(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        write_sweep_manifest(store, _manifest(SEEDS[0]))
         metrics = MetricsRegistry()
-        executor.emit(metrics)
+        run_worker(tmp_path / "store", "w0", ttl=2.0, metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters["distrib.claims"] >= 3
         assert counters["distrib.committed"] == 3

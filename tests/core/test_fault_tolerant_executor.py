@@ -13,7 +13,6 @@ from repro.core import (
     ExecutorHealth,
     FaultInjection,
     FaultTolerantExecutor,
-    MultiprocessingExecutor,
     QuarantineError,
     TaskFailure,
     WorkerLost,
@@ -217,11 +216,12 @@ def test_parallel_run_preserves_task_order():
 
 
 # ----------------------------------------------------------------------
-# The hardened MultiprocessingExecutor and the helper entrypoint
+# The fail-fast pool (no retries, no quarantine) and the helper
+# entrypoint
 # ----------------------------------------------------------------------
 
 def test_multiprocessing_executor_surfaces_context():
-    executor = MultiprocessingExecutor(workers=2)
+    executor = FaultTolerantExecutor(workers=2, retries=0, keep_going=False)
     failing = _boom("from the pool")
     failing.cell_context = "shard=1 seed=2016"
     with pytest.raises(TaskFailure) as info:
@@ -233,7 +233,7 @@ def test_multiprocessing_executor_surfaces_context():
 
 @fork_only
 def test_multiprocessing_executor_killed_worker_does_not_hang():
-    executor = MultiprocessingExecutor(workers=2)
+    executor = FaultTolerantExecutor(workers=2, retries=0, keep_going=False)
     with pytest.raises(WorkerLost):
         executor.run([_ok(1), _die(), _ok(3)])
     assert_no_hung_children()

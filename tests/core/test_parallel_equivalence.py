@@ -13,8 +13,8 @@ import dataclasses
 import pytest
 
 from repro.core import (
+    FaultTolerantExecutor,
     LeakageExperiment,
-    MultiprocessingExecutor,
     SerialExecutor,
     deploy_spoofer,
     derive_subseed,
@@ -55,7 +55,8 @@ def test_serial_and_parallel_merged_results_are_byte_identical(seed, shards):
     )
     parallel = run_sharded_experiment(
         factory, config, names, seed=seed, shards=shards,
-        executor=MultiprocessingExecutor(2), trace=True,
+        executor=FaultTolerantExecutor(workers=2, retries=0, keep_going=False),
+        trace=True,
     )
     serial_print = result_fingerprint(serial)
     parallel_print = result_fingerprint(parallel)
@@ -76,7 +77,9 @@ def test_worker_count_does_not_change_the_merge(seed):
     results = [
         run_sharded_experiment(
             factory, config, names, seed=seed, shards=3,
-            executor=MultiprocessingExecutor(workers),
+            executor=FaultTolerantExecutor(
+                workers=workers, retries=0, keep_going=False
+            ),
         )
         for workers in (2, 3)
     ]
