@@ -6,7 +6,8 @@ fail-fast ``FaultTolerantExecutor``: no retries, no quarantine).  Two
 things are measured and recorded in ``BENCH_parallel.json``, with the
 host they were measured on:
 
-* **speedup** — serial wall-clock over pooled wall-clock, per width;
+* **speedup** — serial wall-clock over pooled wall-clock, per width,
+  every arm timed after one untimed serial warm-up;
 * **merge overhead** — the share of the serial arm spent folding shard
   results rather than resolving (timed by merging the shard results
   again, standalone).
@@ -87,6 +88,11 @@ def _merge_seconds(factory, names):
 def test_parallel_scaling():
     factory, names = _workload()
     cpus = multiprocessing.cpu_count()
+
+    # Untimed warm-up: fill the process-global hot-path caches, which
+    # forked workers inherit, so every arm runs on warm memos and the
+    # speedups compare executors, not cold with warm.
+    _timed_run(factory, names, SerialExecutor())
 
     serial_seconds, serial_result = _timed_run(
         factory, names, SerialExecutor()

@@ -107,7 +107,11 @@ class KeyPool:
         return self._keysets[slot]
 
     def fresh_keyset(self) -> ZoneKeySet:
-        """A key set outside the pool (used by tampering tests)."""
+        """A key set outside the pool (used by tampering tests).
+
+        It is drawn after the last pool key, so a pool key is the same
+        whenever it is first asked for."""
+        self._pool_key(self._pool_size - 1)
         return ZoneKeySet(
             ksk=make_zone_key(generate_keypair(self._rng, self._modulus_bits), True),
             zsk=make_zone_key(generate_keypair(self._rng, self._modulus_bits), False),

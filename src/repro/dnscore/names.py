@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .. import perf
 
@@ -21,6 +21,31 @@ MAX_NAME_LENGTH = 255
 
 class NameError_(ValueError):
     """Raised for malformed domain names."""
+
+
+class _InternRef(weakref.ref):
+    """A weak reference to an interned name, carrying its table key."""
+
+    __slots__ = ("key",)
+
+
+#: Interned names: normalized labels -> weak reference to the live name.
+_INTERNED: Dict[Tuple[str, ...], _InternRef] = {}
+
+
+def _forget_interned(ref: _InternRef, interned=_INTERNED) -> None:
+    """Drop a dead name's entry, unless a newer name took the key."""
+    if interned.get(ref.key) is ref:
+        interned.pop(ref.key, None)
+
+
+def _reject_labels(labels: Tuple[str, ...]) -> None:
+    """Raise for the first empty or oversized label."""
+    for label in labels:
+        if not label:
+            raise NameError_("empty label in name")
+        if len(label) > MAX_LABEL_LENGTH:
+            raise NameError_(f"label too long: {label!r}")
 
 
 @functools.total_ordering
@@ -47,20 +72,34 @@ class Name:
         "__weakref__",
     )
 
-    _interned: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
     def __new__(cls, labels: Iterable[str] = ()):
-        normalized = tuple(label.lower() for label in labels)
-        if perf.ENABLED:
-            cached = cls._interned.get(normalized)
-            if cached is not None:
-                return cached
-        for label in normalized:
-            if not label:
-                raise NameError_("empty label in name")
-            if len(label) > MAX_LABEL_LENGTH:
-                raise NameError_(f"label too long: {label!r}")
-        wire_length = sum(len(label) + 1 for label in normalized) + 1
+        interned = _INTERNED if perf.ENABLED else None
+        # Already-normalized labels (every name derived from another
+        # name, or unpickled) find their name in one probe.
+        if interned is not None and type(labels) is tuple:
+            ref = interned.get(labels)
+            if ref is not None:
+                cached = ref()
+                if cached is not None:
+                    return cached
+        normalized = tuple(map(str.lower, labels))
+        if type(labels) is tuple and normalized == labels:
+            # Keep the caller's tuple rather than hold a copy of it.
+            normalized = labels
+        elif interned is not None:
+            ref = interned.get(normalized)
+            if ref is not None:
+                cached = ref()
+                if cached is not None:
+                    return cached
+        # No label can be too long when all of them together are not.
+        octets = len("".join(normalized))
+        if not all(normalized) or (
+            octets > MAX_LABEL_LENGTH
+            and max(map(len, normalized)) > MAX_LABEL_LENGTH
+        ):
+            _reject_labels(normalized)
+        wire_length = octets + len(normalized) + 1
         if wire_length > MAX_NAME_LENGTH:
             raise NameError_("name exceeds 255 wire octets")
         self = object.__new__(cls)
@@ -69,14 +108,11 @@ class Name:
         self._wire_length = wire_length
         self._canonical_key: Optional[Tuple[bytes, ...]] = None
         self._ancestors: Optional[Tuple["Name", ...]] = None
-        if perf.ENABLED:
-            cls._interned[normalized] = self
+        if interned is not None:
+            ref = _InternRef(self, _forget_interned)
+            ref.key = normalized
+            interned[normalized] = ref
         return self
-
-    def __init__(self, labels: Iterable[str] = ()):
-        # All construction happens in __new__ so interned hits skip
-        # re-validation entirely.
-        pass
 
     def __reduce__(self):
         # Re-enter __new__ on unpickle so names from fork workers
@@ -229,9 +265,7 @@ class Name:
 ROOT = Name(())
 
 perf.register_cache(
-    "dnscore.name_intern",
-    Name._interned.clear,
-    lambda: {"size": len(Name._interned)},
+    "dnscore.name_intern", _INTERNED.clear, lambda: {"size": len(_INTERNED)}
 )
 
 

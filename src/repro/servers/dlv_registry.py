@@ -12,12 +12,13 @@ owners and empty non-terminals from non-existent names, and the NSEC
 chain keeps the owners in canonical order, the origin first.  Owner
 names, covering NSEC (or NSEC3) denials and RRSIGs are built only for
 the answers served (the hashed-denial modes hash every owner name once,
-at build).  A deposit arrives as the depositor's key set; the zone
-makes its DLV rdata from the KSK the first time an answer needs it and
-keeps it in place of the key set.  Building a registry thus costs a few
-set, dict and sort operations per deposit, which keeps the calibrated
-60,000-entry registry and top-100k leakage sweeps cheap while serving
-byte-accurate responses.
+at build).  A deposit arrives as the depositor's key set, or as the
+key pool that holds it.  The first time an answer needs the deposit's
+DLV rdata, the zone asks the pool for the key set, makes the rdata from
+its KSK and keeps the rdata in place of the deposit.  Building a
+registry thus costs a few set, dict and sort operations per deposit,
+which keeps the calibrated 60,000-entry registry and top-100k leakage
+sweeps cheap while serving byte-accurate responses.
 
 Operating modes map to the paper's scenarios:
 
@@ -40,7 +41,7 @@ import enum
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..crypto import hash_domain_label, make_dlv, nsec3_owner_label
-from ..crypto.keys import ZoneKeySet
+from ..crypto.keys import KeyPool, ZoneKeySet
 from ..dnscore import (
     DLV as DLVRdata,
     DNSKEY,
@@ -93,9 +94,10 @@ class DenialMode(enum.Enum):
         return self is DenialMode.NSEC
 
 
-#: What a depositor hands the registry: its DLV rdata, or its key set,
-#: from whose KSK the registry makes the rdata.
-Deposit = Union[DLVRdata, ZoneKeySet]
+#: What a depositor hands the registry: its DLV rdata, its key set, from
+#: whose KSK the registry makes the rdata, or the key pool that holds
+#: its key set.
+Deposit = Union[DLVRdata, ZoneKeySet, KeyPool]
 
 
 class DlvRegistryZone:
@@ -194,9 +196,11 @@ class DlvRegistryZone:
         return self._deposits.keys()
 
     def _dlv(self, domain: Name) -> DLVRdata:
-        """*domain*'s DLV rdata.  A key-set deposit is turned into its
-        rdata the first time an answer needs it, in place."""
+        """*domain*'s DLV rdata.  A key-set or key-pool deposit is turned
+        into its rdata the first time an answer needs it, in place."""
         deposit = self._deposits[domain]
+        if isinstance(deposit, KeyPool):
+            deposit = deposit.keys_for_zone(domain)
         if isinstance(deposit, ZoneKeySet):
             deposit = make_dlv(domain, deposit.ksk.dnskey)
             self._deposits[domain] = deposit
@@ -322,7 +326,7 @@ class DLVRegistryServer(AuthoritativeServer):
         cls,
         origin: Name,
         keyset: ZoneKeySet,
-        deposits: Mapping[Name, ZoneKeySet],
+        deposits: Mapping[Name, Union[ZoneKeySet, KeyPool]],
         hashed: bool = False,
         denial: DenialMode = DenialMode.NSEC,
         extra_owners: Optional[Mapping[Name, DLVRdata]] = None,
@@ -331,11 +335,12 @@ class DLVRegistryServer(AuthoritativeServer):
         """Build a registry from depositing zones' key sets.
 
         ``deposits`` maps each depositing domain to the key set whose KSK
-        the DLV record must authenticate; the zone makes the record the
-        first time an answer needs it.  ``extra_owners`` lets callers
-        add background entries (registered domains that the experiment
-        never queries but that shape the NSEC chain, mirroring the real
-        registry's population).
+        the DLV record must authenticate, or to the key pool that holds
+        it; the zone asks the pool for the key set, and makes the
+        record, the first time an answer needs it.  ``extra_owners``
+        lets callers add background entries (registered domains that
+        the experiment never queries but that shape the NSEC chain,
+        mirroring the real registry's population).
         """
         merged: Dict[Name, Deposit] = dict(deposits)
         if extra_owners:

@@ -19,10 +19,13 @@ properties the experiments exercise:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
+import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+import struct
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import perf
 from ..crypto.memo import BoundedMemo
@@ -106,6 +109,86 @@ class WorkloadParams:
 #: The letters of a uniform (filler) label.
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
+#: A 32-bit word's letter, looked up by the word's top byte: its top
+#: five bits are ``getrandbits(5)``, and 26..31, which ``random.choice``
+#: over 26 letters rejects, map to "#".
+_LETTER_BY_TOP_BYTE = bytes(
+    ord(_ALPHABET[top >> 3]) if top >> 3 < 26 else ord("#")
+    for top in range(256)
+)
+
+#: Words read from the filler generator at a time.
+_FILLER_CHUNK_WORDS = 1 << 14
+
+_TWO_WORDS = struct.Struct("<2I").unpack_from
+
+
+def _cumulative(weights: Iterable[float]) -> Tuple[List[float], float]:
+    """Weights accumulated once, and their total, as ``random.choices``
+    accumulates and checks them on every call."""
+    cum_weights = list(itertools.accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return cum_weights, total
+
+
+def _uniform_filler_draws(
+    rng: random.Random, tlds: Sequence[str], cum_weights: Sequence[float],
+    total: float,
+) -> Iterator[Tuple[str, str]]:
+    """``(NameGenerator.uniform_label(), rng.choices(tlds,
+    cum_weights=cum_weights)[0])`` pairs, without end, read from *rng*
+    in bulk.
+
+    Every one of those calls consumes whole 32-bit words of the
+    generator: ``randrange(8, 14)`` takes a word's top three bits and
+    rejects 6 and 7, each letter takes a word's top five bits and
+    rejects 26..31, and ``random()`` makes 53 bits from two words.
+    ``getrandbits(32 * n)`` returns the next *n* words, the first in
+    its lowest bits, so parsing them in order gives the same pairs.  It
+    reads ahead, so *rng* must be private to the caller and discarded.
+    """
+    last = len(tlds) - 1
+    data = b""  # unparsed words, four little-endian bytes each
+    tops = b""  # the top byte of each word
+    letters = ""  # the letter of each word, "#" where rejected
+    pos = 0
+    while True:
+        start = pos
+        try:
+            spare = tops[pos] >> 5
+            pos += 1
+            while spare > 5:
+                spare = tops[pos] >> 5
+                pos += 1
+            end = pos + 8 + spare
+            rejected = letters.count("#", pos, end)
+            while rejected:
+                counted, end = end, end + rejected
+                rejected = letters.count("#", counted, end)
+            if 4 * end + 8 > len(data):
+                raise IndexError(end)
+        except IndexError:
+            # The name runs past the words read: read more and parse it
+            # again from its first word.
+            data = data[4 * start:] + rng.getrandbits(
+                32 * _FILLER_CHUNK_WORDS
+            ).to_bytes(4 * _FILLER_CHUNK_WORDS, "little")
+            tops = data[3::4]
+            letters = tops.translate(_LETTER_BY_TOP_BYTE).decode("ascii")
+            pos = 0
+            continue
+        label = letters[pos:end].replace("#", "")
+        high, low = _TWO_WORDS(data, 4 * end)
+        pos = end + 2
+        fraction = ((high >> 5) * 67108864.0 + (low >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
+        yield label, tlds[bisect.bisect(cum_weights, fraction * total, 0, last)]
+
 
 class NameGenerator:
     """Seeded generator of plausible, clustered domain labels."""
@@ -130,14 +213,20 @@ class NameGenerator:
         s = params.token_zipf_s
         weights = [1.0 / (rank + 1) ** s for rank in range(len(vocabulary))]
         total = sum(weights)
-        self._cum_weights = list(
-            itertools.accumulate(w / total for w in weights)
+        self._cum_weights, self._total = _cumulative(
+            w / total for w in weights
         )
 
     def token(self) -> str:
-        return self._rng.choices(
-            self._vocabulary, cum_weights=self._cum_weights, k=1
-        )[0]
+        # random.choices(vocabulary, cum_weights=...)[0], inlined.
+        return self._vocabulary[
+            bisect.bisect(
+                self._cum_weights,
+                self._rng.random() * self._total,
+                0,
+                len(self._vocabulary) - 1,
+            )
+        ]
 
     def label(self) -> str:
         """One SLD label: one or two Zipf tokens, occasionally a digit."""
@@ -176,19 +265,32 @@ class AlexaWorkload:
         self.domains: List[DomainSpec] = []
         self._by_name: Dict[Name, DomainSpec] = {}
         tld_labels = [tld.label for tld in self.params.tlds]
-        tld_weights = [tld.weight for tld in self.params.tlds]
+        # Name labels of each TLD; generated labels are lowercase, so a
+        # (label, TLD label) pair is a name's labels before it is built.
+        tld_keys = [label.lower() for label in tld_labels]
+        tld_cum_weights, tld_total = _cumulative(
+            tld.weight for tld in self.params.tlds
+        )
+        last = len(tld_labels) - 1
         signed_tlds = {tld.label for tld in self.params.tlds if tld.signed}
+        draw = self._rng.random
         seen = set()
         rank = 0
         while len(self.domains) < count:
             label = self._names.label()
-            tld = self._rng.choices(tld_labels, weights=tld_weights, k=1)[0]
-            name = Name([label, tld])
-            if name in seen:
+            # rng.choices(tld_labels, weights=...)[0], inlined.
+            index = bisect.bisect(
+                tld_cum_weights, draw() * tld_total, 0, last
+            )
+            key = (label, tld_keys[index])
+            if key in seen:
                 continue
-            seen.add(name)
+            seen.add(key)
+            name = Name(key)
             rank += 1
-            spec = self._make_spec(name, rank, tld in signed_tlds)
+            spec = self._make_spec(
+                name, rank, tld_labels[index] in signed_tlds
+            )
             self.domains.append(spec)
             self._by_name[name] = spec
 
@@ -269,29 +371,25 @@ class AlexaWorkload:
             cached = _FILLER_MEMO.get(memo_key)
             if cached is not None:
                 return list(cached)
-        filler_tlds = list(tld_weights)
-        filler_cum_weights = list(
-            itertools.accumulate(tld_weights[label] for label in filler_tlds)
-        )
         # Independent RNG: the filler population must not depend on how
         # many workload domains were generated before it.
         rng = random.Random(self.params.seed ^ 0xF111E4)
-        generator = NameGenerator(rng, self.params)
+        # The filler stream starts where a generator's vocabulary ends.
+        NameGenerator(rng, self.params)
         names: List[Name] = []
-        seen = set(self._by_name)
-        while len(names) < count:
-            name = Name(
-                [
-                    generator.uniform_label(),
-                    rng.choices(
-                        filler_tlds, cum_weights=filler_cum_weights, k=1
-                    )[0],
-                ]
+        seen = {name.labels for name in self._by_name}
+        if count > 0:
+            draws = _uniform_filler_draws(
+                rng,
+                [label.lower() for label in tld_weights],
+                *_cumulative(tld_weights.values()),
             )
-            if name in seen:
-                continue
-            seen.add(name)
-            names.append(name)
+            while len(names) < count:
+                key = next(draws)
+                if key in seen:
+                    continue
+                seen.add(key)
+                names.append(Name(key))
         if perf.ENABLED:
             _FILLER_MEMO.put(memo_key, tuple(names))
         return names

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..crypto import KeyPool, ZoneKeySet
+from ..crypto import KeyPool
 from ..dnscore import (
     A,
     AAAA,
@@ -183,14 +184,17 @@ class Universe:
         params = self.params
         self.registry_origin = params.registry_origin
         self.registry_keys = self.keys.keys_for_zone(self.registry_origin)
-        deposits: Dict[Name, ZoneKeySet] = {}
+        deposits: Dict[Name, KeyPool] = {}
         if not params.registry_empty:
-            for spec in self.domains:
-                if spec.dlv_deposited:
-                    deposits[spec.name] = self.keys.keys_for_zone(spec.name)
-            for filler in params.registry_filler:
-                if filler not in deposits:
-                    deposits[filler] = self.keys.keys_for_zone(filler)
+            # Each depositor's key set comes from the pool the first
+            # time the registry makes its DLV record.
+            deposits = dict.fromkeys(
+                itertools.chain(
+                    (spec.name for spec in self.domains if spec.dlv_deposited),
+                    params.registry_filler,
+                ),
+                self.keys,
+            )
         self.registry_address = self._next_address()
         registry_ns_host = self.registry_origin.prepend("ns1")
         self.registry_zone = DlvRegistryZone(
