@@ -1,17 +1,22 @@
 """Store bench: what crash-safety costs, and what resume saves.
 
-Three arms over the same sharded workload, results in
+Four arms over the same sharded workload, results (with the host) in
 ``BENCH_store.json``:
 
 * **plain** — ``run_sharded_experiment`` with no store (the baseline);
 * **cold**  — ``run_stored_sweep`` against an empty store: the
   baseline plus commit overhead (pickle + digest + fsync + rename);
 * **warm**  — the same stored sweep again: every cell is a verified
-  reuse, no resolution happens at all.
+  reuse, no resolution happens at all;
+* **pooled** — ``sharded_leakage_sweep`` over two sizes (half the
+  names, then all of them) on two workers into a fresh store: the
+  shape ``repro sweep --shards K --parallelism 2 --store`` runs, both
+  sizes in one fan-out, each cell committed by the worker that ran it.
 
-Two things are asserted unconditionally: all three arms fingerprint
-identically (the store never changes a byte of output), and the warm
-arm actually reused every cell.  The warm-vs-plain speedup is recorded
+Two things are asserted unconditionally: every arm fingerprints
+identically to its serial plain run (the store and the pool never
+change a byte of output), and the warm arm actually reused every
+cell.  The warm-vs-plain speedup is recorded
 but only asserted loosely (≥1x) — the win is already decisive at this
 size and grows with the workload, and a tight bound would make the
 bench flaky on the smallest CI containers.
@@ -22,6 +27,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from conftest import host
+from repro.analysis import sharded_leakage_sweep
 from repro.core import (
     ResultStore,
     SerialExecutor,
@@ -107,10 +114,41 @@ def test_store_cold_vs_warm():
         "an all-reuse sweep should never be slower than resolving"
     )
 
+    # Two sizes on two workers; the larger size is the plain arm's.
+    half = DOMAINS // 2
+    half_plain = run_sharded_experiment(
+        standard_universe_factory(
+            half, filler_count=FILLER, workload_seed=SEED
+        ),
+        correct_bind_config(),
+        standard_workload(half, seed=SEED).names(half),
+        seed=SEED,
+        shards=SHARDS,
+        executor=SerialExecutor(),
+    )
+    outcomes = []
+    start = time.perf_counter()
+    sharded_leakage_sweep(
+        sizes=(half, DOMAINS),
+        seed=SEED,
+        filler_count=FILLER,
+        shards=SHARDS,
+        parallelism=2,
+        store=ResultStore(tempfile.mkdtemp(prefix="bench-store-")),
+        outcomes=outcomes,
+    )
+    pooled_seconds = time.perf_counter() - start
+    assert [result_fingerprint(outcome.result) for outcome in outcomes] == [
+        result_fingerprint(half_plain),
+        reference,
+    ]
+    assert [outcome.cells_rerun for outcome in outcomes] == [SHARDS, SHARDS]
+
     store_bytes = sum(
         path.stat().st_size for path in Path(root).glob("*/*.cell")
     )
     payload = {
+        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,
@@ -124,6 +162,12 @@ def test_store_cold_vs_warm():
         "warm_speedup": round(plain_seconds / warm_seconds, 2),
         "store_bytes": store_bytes,
         "bytes_per_cell": store_bytes // SHARDS,
+        "pooled": {
+            "sizes": [half, DOMAINS],
+            "workers": 2,
+            "cells": 2 * SHARDS,
+            "seconds": round(pooled_seconds, 4),
+        },
         "byte_identical": True,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -134,6 +178,8 @@ def test_store_cold_vs_warm():
           f"({cold_seconds / plain_seconds:.2f}x of plain)")
     print(f"warm  (all reuse) {warm_seconds:.3f}s "
           f"({plain_seconds / warm_seconds:.1f}x speedup)")
+    print(f"pooled (2 sizes)  {pooled_seconds:.3f}s "
+          f"({2 * SHARDS} cells on 2 workers)")
     print(f"store size        {store_bytes} bytes "
           f"({store_bytes // SHARDS} per cell)")
     print(f"written to {RESULT_PATH.name}")

@@ -105,52 +105,58 @@ def sharded_leakage_sweep(
     varies.
 
     With ``store`` (a :class:`~repro.core.store.ResultStore`) the sweep
-    runs crash-safe through :func:`~repro.core.store.run_stored_sweep`:
-    completed shard cells commit as they finish, an interrupted sweep
-    resumes from the committed cells, and only missing/corrupt cells
-    re-run.  Per-size :class:`~repro.core.store.SweepOutcome` records
-    are appended to ``outcomes`` when given; quarantined cells make the
+    runs crash-safe through :func:`~repro.core.store.run_stored_cells`:
+    the missing cells of every size run in one executor run and commit
+    where they run, an interrupted sweep resumes from the committed
+    cells, and only missing/corrupt cells re-run.  One
+    :class:`~repro.core.store.SweepOutcome` per size, in size order, is
+    appended to ``outcomes`` when given; quarantined cells make the
     affected point *partial* (keep-going default) or raise
     (``fail_fast=True``).
     """
     from ..core import (
         run_sharded_experiment,
-        run_stored_sweep,
+        run_stored_cells,
+        standard_sweep_cells,
         standard_universe_factory,
     )
 
     resolver_config = config or correct_bind_config()
-    points: List[LeakageSweepPoint] = []
-    for size in sorted(sizes):
-        workload = standard_workload(size, seed=seed)
-        factory = standard_universe_factory(
-            size, filler_count=filler_count, workload_seed=seed
+    ordered = sorted(sizes)
+    if store is not None:
+        swept = run_stored_cells(
+            standard_sweep_cells(
+                ordered,
+                filler_count=filler_count,
+                seed=seed,
+                config=resolver_config,
+                shards=shards if shards is not None else max(parallelism, 1),
+            ),
+            store=store,
+            parallelism=parallelism,
+            timeout=timeout,
+            retries=retries,
+            fail_fast=fail_fast,
         )
-        if store is not None:
-            outcome = run_stored_sweep(
-                factory,
+        if outcomes is not None:
+            outcomes.extend(swept)
+        results = [outcome.result for outcome in swept]
+    else:
+        results = [
+            run_sharded_experiment(
+                standard_universe_factory(
+                    size, filler_count=filler_count, workload_seed=seed
+                ),
                 resolver_config,
-                workload.names(size),
-                seed=seed,
-                shards=shards,
-                parallelism=parallelism,
-                store=store,
-                timeout=timeout,
-                retries=retries,
-                fail_fast=fail_fast,
-            )
-            if outcomes is not None:
-                outcomes.append(outcome)
-            result = outcome.result
-        else:
-            result = run_sharded_experiment(
-                factory,
-                resolver_config,
-                workload.names(size),
+                standard_workload(size, seed=seed).names(size),
                 seed=seed,
                 shards=shards,
                 parallelism=parallelism,
             )
+            for size in ordered
+        ]
+    points: List[LeakageSweepPoint] = []
+    for size, result in zip(ordered, results):
         leak = result.leakage
         points.append(
             LeakageSweepPoint(

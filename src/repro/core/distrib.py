@@ -86,18 +86,16 @@ from ..resolver import (
 from .experiment import ExperimentResult
 from .parallel import (
     QuarantinedCell,
-    _ShardTask,
     backoff_schedule,
     merge_shard_results,
-    plan_shards,
 )
 from .store import (
     ResultStore,
     StoreError,
+    SweepCell,
     SweepJournal,
     current_code_version,
     fingerprint_digest,
-    shard_cell_key,
 )
 
 #: Lease/quarantine envelope schema version.
@@ -777,16 +775,6 @@ class SweepBoard:
         return "committed"
 
 
-@dataclasses.dataclass
-class SweepCell:
-    """One runnable cell of a manifest sweep: its key, its task, and
-    which size-stage it belongs to."""
-
-    key: Any  # CellKey
-    task: Callable[[], ExperimentResult]
-    stage: int
-
-
 # ----------------------------------------------------------------------
 # The sweep manifest: how independent hosts learn the cell set
 # ----------------------------------------------------------------------
@@ -851,38 +839,20 @@ class SweepManifest:
         """The sweep's full cell list, stage by stage, in shard order —
         identical on every host because it derives from the manifest
         alone."""
-        from .setup import standard_universe_factory, standard_workload
+        from .setup import standard_sweep_cells
 
-        config = self.config()
-        cells: List[SweepCell] = []
-        for stage, size in enumerate(sorted(self.sizes)):
-            factory = standard_universe_factory(
-                size, filler_count=self.filler_count, workload_seed=self.seed
-            )
-            names = standard_workload(size, seed=self.seed).names(size)
-            for spec in plan_shards(names, self.shards, self.seed):
-                key = shard_cell_key(
-                    factory,
-                    config,
-                    spec,
-                    shard_count=self.shards,
-                    seed=self.seed,
-                    ptr_fraction=self.ptr_fraction,
-                    dnssec_ok_stub=self.dnssec_ok_stub,
-                    trace=self.trace,
-                    kind=self.kind,
-                    code_version=self.code_version,
-                )
-                task = _ShardTask(
-                    factory=factory,
-                    config=config,
-                    spec=spec,
-                    ptr_fraction=self.ptr_fraction,
-                    dnssec_ok_stub=self.dnssec_ok_stub,
-                    trace=self.trace,
-                )
-                cells.append(SweepCell(key=key, task=task, stage=stage))
-        return cells
+        return standard_sweep_cells(
+            self.sizes,
+            filler_count=self.filler_count,
+            seed=self.seed,
+            config=self.config(),
+            shards=self.shards,
+            ptr_fraction=self.ptr_fraction,
+            dnssec_ok_stub=self.dnssec_ok_stub,
+            trace=self.trace,
+            kind=self.kind,
+            code_version=self.code_version,
+        )
 
 
 def write_sweep_manifest(store: ResultStore, manifest: SweepManifest) -> Path:

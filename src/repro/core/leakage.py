@@ -62,6 +62,14 @@ class ClassifiedDlvQuery:
         return None
 
 
+class _SortedSet(set):
+    """A set that pickles as ``set(sorted(self))``: written in a fixed
+    order, a plain set on load."""
+
+    def __reduce__(self):
+        return (set, (sorted(self),))
+
+
 @dataclasses.dataclass
 class LeakageReport:
     """Aggregated leakage statistics for one experiment run."""
@@ -75,6 +83,16 @@ class LeakageReport:
     tld_level_queries: int
     noerror_responses: int
     nxdomain_responses: int
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A set pickles in hash order, which follows the process's
+        # string-hash seed; pickling the two name sets sorted makes a
+        # stored cell the same bytes on every run.  They still unpickle
+        # as plain sets, so cells written either way load either way.
+        state = dict(self.__dict__)
+        for field in ("leaked_domains", "served_domains"):
+            state[field] = _SortedSet(state[field])
+        return state
 
     @property
     def leaked_count(self) -> int:

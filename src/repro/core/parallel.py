@@ -68,6 +68,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
@@ -812,8 +813,16 @@ class FaultInjection:
         return injected
 
 
-def _child_main(index: int, conn) -> None:
-    """Worker body: run one inherited task, ship the outcome, exit.
+def _worker_main(conn, inherited: Sequence[Any]) -> None:
+    """Worker body: run inherited tasks by index until the pipe closes.
+
+    The coordinator sends one task index at a time and reads back
+    ``("ok", result)`` or ``("error", traceback)``.  End of file at a
+    receive (the run is over, or the coordinator is gone) ends the
+    worker.  *inherited* holds the coordinator's ends of every pipe the
+    fork copied, this worker's own included; closing them leaves this
+    worker's pipe open only between it and the coordinator, so each
+    side sees the other's exit as end of file.
 
     ``os._exit`` skips the parent's atexit/finalizer state the fork
     inherited; the parent learns everything it needs from the pipe (or
@@ -821,19 +830,45 @@ def _child_main(index: int, conn) -> None:
     """
     status = 0
     try:
-        try:
-            result = _ACTIVE_TASKS[index]()  # type: ignore[index]
-            payload = ("ok", result)
-        except BaseException:
-            payload = ("error", traceback.format_exc())
-            status = 1
-        try:
-            conn.send(payload)
-        except Exception:
-            status = 1
-        conn.close()
+        for other in inherited:
+            other.close()
+        while True:
+            try:
+                index = conn.recv()
+            except (EOFError, OSError):
+                break
+            try:
+                payload = ("ok", _ACTIVE_TASKS[index]())  # type: ignore[index]
+            except BaseException:
+                # Exit and interrupt too: every outcome goes back over
+                # the pipe, and an interrupted coordinator closes it.
+                payload = ("error", traceback.format_exc())
+            try:
+                conn.send(payload)
+            except Exception:
+                status = 1
+                break
     finally:
         os._exit(status)
+
+
+def _affinity(task: Any) -> Optional[int]:
+    """The shard sub-seed a task runs on, if it is a shard cell: a
+    worker that already ran that sub-seed holds its keys and memos."""
+    return getattr(getattr(task, "spec", None), "seed", None)
+
+
+@dataclasses.dataclass
+class _Slot:
+    """One long-lived worker of a fork-pool run and what it is doing."""
+
+    process: Any
+    conn: Any
+    #: Sub-seeds of the tasks this worker has been handed.
+    seeds: Set[int] = dataclasses.field(default_factory=set)
+    #: The task it is running (``None`` while idle) and its deadline.
+    index: Optional[int] = None
+    deadline: Optional[float] = None
 
 
 class SerialExecutor:
@@ -852,13 +887,19 @@ class FaultTolerantExecutor:
     a deterministic backoff schedule, dead-worker detection, and poison
     -cell quarantine.
 
-    Process isolation (one forked worker per attempt, which inherits
-    the task list and is handed its task by index) is used whenever it
-    is needed to contain a failure — more than one worker, a timeout to
-    enforce, or ``isolate=True`` — and available on the platform.
-    Otherwise tasks run in-process with the same retry/quarantine
-    semantics (minus crash containment, which only a separate process
-    can provide).
+    Process isolation is used whenever it is needed to contain a
+    failure — more than one worker, a timeout to enforce, or
+    ``isolate=True`` — and available on the platform.  Each of up to
+    ``workers`` slots is forked once per run: the worker inherits the
+    task list and is handed one task index at a time over its pipe, so
+    it keeps its process-wide memos from cell to cell.  An idle worker
+    takes the first due task whose shard sub-seed (``task.spec.seed``)
+    it has already run, else the first due task, so the cells of one
+    sub-seed share the keys and memos that sub-seed built.  A worker
+    that is lost or timed out is reaped and a fresh fork takes its
+    slot.  Otherwise tasks run in-process with the same
+    retry/quarantine semantics (minus crash containment, which only a
+    separate process can provide).
 
     ``FaultTolerantExecutor(workers=n, retries=0, keep_going=False)``
     is the plain fail-fast pool :func:`resolve_executor` builds for
@@ -874,6 +915,8 @@ class FaultTolerantExecutor:
       the closed result pipe, never a silent hang;
     * a cell that exceeds ``timeout`` has its worker terminated and
       becomes :class:`CellTimeout`;
+    * a task exception leaves its worker running for later tasks; a
+      lost or timed-out worker is replaced by a fresh fork;
     * each failed cell is retried up to ``retries`` times, delayed by
       :func:`backoff_schedule`; a cell that fails every attempt is
       **quarantined** (``keep_going=True``, the default) so healthy
@@ -1003,59 +1046,80 @@ class FaultTolerantExecutor:
         context_mp = multiprocessing.get_context("fork")
         previous = _ACTIVE_TASKS
         _ACTIVE_TASKS = tasks
-        #: index -> (process, reader, deadline)
-        running: Dict[int, Tuple[Any, Any, Optional[float]]] = {}
+        slots: List[_Slot] = []
         #: (not_before, index) — retry delays without blocking the loop.
         pending: List[Tuple[float, int]] = [
             (0.0, index) for index in range(len(tasks))
         ]
         attempts = [0] * len(tasks)
+        affinities = [_affinity(task) for task in tasks]
+
+        def fork_slot() -> _Slot:
+            conn, child = context_mp.Pipe()
+            process = context_mp.Process(
+                target=_worker_main,
+                args=(child, [slot.conn for slot in slots] + [conn]),
+            )
+            process.start()
+            child.close()
+            slots.append(_Slot(process, conn))
+            return slots[-1]
+
         try:
-            while pending or running:
+            while pending or any(slot.index is not None for slot in slots):
                 now = time.monotonic()
-                # Fill free slots with due work.
-                due = [item for item in pending if item[0] <= now]
-                for item in sorted(due):
-                    if len(running) >= self.workers:
-                        break
+                # Hand due work to idle workers, forking up to `workers`
+                # of them; a worker prefers a sub-seed it already ran.
+                due = sorted(item for item in pending if item[0] <= now)
+                while due:
+                    slot = next((s for s in slots if s.index is None), None)
+                    if slot is None:
+                        if len(slots) >= self.workers:
+                            break
+                        slot = fork_slot()
+                    item = next(
+                        (it for it in due if affinities[it[1]] in slot.seeds),
+                        due[0],
+                    )
+                    due.remove(item)
                     pending.remove(item)
                     index = item[1]
                     attempts[index] += 1
-                    reader, writer = context_mp.Pipe(duplex=False)
-                    process = context_mp.Process(
-                        target=_child_main, args=(index, writer)
-                    )
-                    process.start()
-                    writer.close()
-                    deadline = (
+                    slot.index = index
+                    slot.deadline = (
                         now + self.timeout if self.timeout is not None else None
                     )
-                    running[index] = (process, reader, deadline)
-                if not running:
+                    if affinities[index] is not None:
+                        slot.seeds.add(affinities[index])
+                    try:
+                        slot.conn.send(index)
+                    except OSError:
+                        pass  # died while idle: reported as lost below
+                busy = [slot for slot in slots if slot.index is not None]
+                if not busy:
                     # Everything pending is backing off; wait out the
                     # nearest retry without spinning.
                     wake = min(item[0] for item in pending)
                     self._sleep(max(0.0, min(wake - now, self.poll_interval)))
                     continue
                 multiprocessing.connection.wait(
-                    [reader for (_, reader, _) in running.values()],
-                    timeout=self.poll_interval,
+                    [slot.conn for slot in busy], timeout=self.poll_interval
                 )
                 now = time.monotonic()
-                for index in list(running):
-                    process, reader, deadline = running[index]
+                for slot in busy:
+                    index = slot.index
+                    process = slot.process
                     failure: Optional[TaskFailure] = None
                     context = task_context(tasks[index], index)
-                    if reader.poll():
+                    if slot.conn.poll():
                         try:
-                            tag, payload = reader.recv()
+                            tag, payload = slot.conn.recv()
                         except (EOFError, OSError):
                             process.join(timeout=1.0)
                             failure = WorkerLost(context, process.exitcode)
                         else:
+                            slot.index = slot.deadline = None
                             if tag == "ok":
-                                del running[index]
-                                self._reap(process, reader)
                                 results[index] = payload
                                 health.cells_ok += 1
                                 if on_result is not None:
@@ -1065,16 +1129,18 @@ class FaultTolerantExecutor:
                     elif not process.is_alive():
                         # Dead without a result: flush any race between
                         # is_alive and a final send before declaring loss.
-                        if reader.poll(0):
+                        if slot.conn.poll(0):
                             continue  # handle on the next sweep
                         process.join(timeout=1.0)
                         failure = WorkerLost(context, process.exitcode)
-                    elif deadline is not None and now >= deadline:
+                    elif slot.deadline is not None and now >= slot.deadline:
                         failure = CellTimeout(context, self.timeout)
                     else:
                         continue
-                    del running[index]
-                    self._reap(process, reader, force=True)
+                    if slot.index is not None:
+                        # Lost or timed out: a fresh fork takes its place.
+                        slots.remove(slot)
+                        self._reap(process, slot.conn, force=True)
                     if isinstance(failure, WorkerLost):
                         health.worker_lost += 1
                     elif isinstance(failure, CellTimeout):
@@ -1092,8 +1158,11 @@ class FaultTolerantExecutor:
                         )
         finally:
             _ACTIVE_TASKS = previous
-            for process, reader, _ in running.values():
-                self._reap(process, reader, force=True)
+            # An idle worker exits on the closed pipe; a busy one (a
+            # fail-fast raise) is terminated.
+            for slot in slots:
+                busy = slot.index is not None
+                self._reap(slot.process, slot.conn, force=busy)
 
     def _fail(self, index, context, attempts, failure, quarantined, health):
         if not self.keep_going:

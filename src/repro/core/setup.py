@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from .. import perf
 from ..crypto.memo import BoundedMemo
 from ..resolver import ResolverConfig, correct_bind_config
 from ..workloads import AlexaWorkload, Universe, UniverseParams, WorkloadParams
 from .experiment import LeakageExperiment
+from .store import SweepCell, plan_cells
 
 #: Workload populations are pure functions of (count, params) and are
 #: rebuilt identically for every cell of a sweep or matrix; sharing the
@@ -137,3 +138,39 @@ def standard_experiment(
         ),
         seed=seed,
     )
+
+
+def standard_sweep_cells(
+    sizes: Sequence[int],
+    filler_count: int = DEFAULT_REGISTRY_FILLER_COUNT,
+    seed: int = 2016,
+    config: Optional[ResolverConfig] = None,
+    shards: int = 1,
+    **planning: Any,
+) -> List[SweepCell]:
+    """The cells of the calibrated Figs 8/9 sweep: one stage per size,
+    in ascending order, each the shard plan of the top-*size* names in
+    a universe built for that size.  ``planning`` goes to
+    :func:`~repro.core.store.plan_cells` (``ptr_fraction``, ``trace``,
+    ``kind``, ``code_version``, ...).
+
+    The local stored sweep and the lease workers' manifest both plan
+    here, so they address the same cells.
+    """
+    resolver_config = config or correct_bind_config()
+    cells: List[SweepCell] = []
+    for stage, size in enumerate(sorted(sizes)):
+        cells.extend(
+            plan_cells(
+                standard_universe_factory(
+                    size, filler_count=filler_count, workload_seed=seed
+                ),
+                resolver_config,
+                standard_workload(size, seed=seed).names(size),
+                seed=seed,
+                shards=shards,
+                stage=stage,
+                **planning,
+            )
+        )
+    return cells

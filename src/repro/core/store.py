@@ -22,11 +22,15 @@ now small, but aggregate cost is not — and a sweep that dies at cell
 * :class:`SweepJournal` appends one JSON line per store event (reuse,
   commit, corruption, quarantine) with flush+fsync, tolerating a torn
   final line after a crash;
-* :func:`run_stored_sweep` stitches it together with the
-  fault-tolerant executor from :mod:`repro.core.parallel`: completed
-  cells commit **as they finish** (so SIGTERM mid-sweep keeps them),
-  a resumed sweep loads every committed cell and re-runs only missing,
-  corrupt, or previously quarantined ones, and the merged result is
+* :func:`run_stored_cells` (and :func:`run_stored_sweep`, its
+  one-size call) stitches it together with the fault-tolerant executor
+  from :mod:`repro.core.parallel`: every size of a sweep runs in one
+  executor run, and each cell **commits where it runs** — the worker
+  pickles its result once, writes the verified envelope and hands the
+  payload bytes back, while the coordinator alone journals and counts
+  commits (so SIGTERM mid-sweep keeps every finished cell).  A resumed
+  sweep loads every committed cell and re-runs only missing, corrupt,
+  or previously quarantined ones, and the merged result is
   **byte-identical** to an uninterrupted run — enforced by the same
   fingerprint machinery that validates the parallel merge.
 
@@ -466,6 +470,30 @@ class ResultStore:
         result under the same key replaces it atomically (last write
         wins — keys are meant to make that impossible for pure cells).
         """
+        self.write_cell(key, result)
+        self.note_commit()
+        return self.path_for(key.digest())
+
+    def note_commit(self) -> None:
+        """Count one commit in :attr:`stats`; the ``abort_after_commits``
+        injection fires here.  A stored sweep's coordinator calls this
+        when a cell committed in a worker reports back, so only the
+        coordinator counts, and only the coordinator signals itself."""
+        self.stats.commits += 1
+        if (
+            self.abort_after_commits is not None
+            and self.stats.commits >= self.abort_after_commits
+        ):
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    def write_cell(self, key: CellKey, result: ExperimentResult) -> bytes:
+        """Write *result*'s verified envelope under *key* and return its
+        payload bytes, counting nothing (see :meth:`note_commit`).
+
+        The result is pickled once; the envelope carries that payload's
+        SHA-256 and the result's fingerprint digest, and lands by temp
+        file, fsync and ``os.replace``.
+        """
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         envelope = {
             "format": STORE_FORMAT,
@@ -486,13 +514,7 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, destination)
-        self.stats.commits += 1
-        if (
-            self.abort_after_commits is not None
-            and self.stats.commits >= self.abort_after_commits
-        ):
-            os.kill(os.getpid(), signal.SIGTERM)
-        return destination
+        return payload
 
     # -- read -------------------------------------------------------------
 
@@ -685,7 +707,9 @@ class SweepOutcome:
     shard order; quarantined cells are excluded from the merge and
     listed in ``quarantined``.  A complete outcome's ``result`` is
     byte-identical (per :func:`~repro.core.parallel.result_fingerprint`)
-    to an uninterrupted serial run of the same plan.
+    to an uninterrupted serial run of the same plan.  ``health`` counts
+    the whole executor run, which a multi-size sweep shares between
+    its sizes.
     """
 
     result: ExperimentResult
@@ -718,6 +742,254 @@ class SweepOutcome:
         return "sweep " + " ".join(parts) + f" [{self.health.describe()}]"
 
 
+@dataclasses.dataclass
+class SweepCell:
+    """One planned cell of a stored sweep: its key, its task, and the
+    stage it belongs to (one size of a multi-size sweep)."""
+
+    key: CellKey
+    task: _ShardTask
+    stage: int = 0
+
+
+def plan_cells(
+    factory: UniverseFactory,
+    config: ResolverConfig,
+    names: Sequence[Name],
+    seed: int = 0,
+    shards: int = 1,
+    stage: int = 0,
+    ptr_fraction: float = 0.01,
+    dnssec_ok_stub: bool = True,
+    trace: bool = False,
+    kind: str = "leakage-shard",
+    factory_key: Optional[str] = None,
+    code_version: Optional[str] = None,
+) -> List[SweepCell]:
+    """One stage's cells: the shard plan of *names*, each shard with its
+    :class:`CellKey` and its task, in shard order.
+
+    The stored sweep, the multi-size stored sweep and the lease
+    workers' manifest all plan here, so the same inputs give the same
+    keys on every path.
+    """
+    cells: List[SweepCell] = []
+    for spec in plan_shards(names, shards, seed):
+        key = shard_cell_key(
+            factory,
+            config,
+            spec,
+            shard_count=shards,
+            seed=seed,
+            ptr_fraction=ptr_fraction,
+            dnssec_ok_stub=dnssec_ok_stub,
+            trace=trace,
+            kind=kind,
+            factory_key=factory_key,
+            code_version=code_version,
+        )
+        task = _ShardTask(
+            factory=factory,
+            config=config,
+            spec=spec,
+            ptr_fraction=ptr_fraction,
+            dnssec_ok_stub=dnssec_ok_stub,
+            trace=trace,
+        )
+        cells.append(SweepCell(key=key, task=task, stage=stage))
+    return cells
+
+
+class _CommittedCell:
+    """What a stored cell's task hands back: the payload bytes it
+    committed and, in the process that ran it, the result itself.
+
+    Only the bytes cross a worker's pipe, so the coordinator unpickles a
+    pooled cell's result once, for the merge; a cell run in-process
+    hands its result over as it is.
+    """
+
+    __slots__ = ("payload", "result")
+
+    def __init__(
+        self, payload: bytes, result: Optional[ExperimentResult] = None
+    ):
+        self.payload = payload
+        self.result = result
+
+    def __reduce__(self):
+        return (_CommittedCell, (self.payload,))
+
+    def value(self) -> ExperimentResult:
+        if self.result is None:
+            self.result = pickle.loads(self.payload)
+        return self.result
+
+
+@dataclasses.dataclass(frozen=True)
+class _CommitTask:
+    """A planned cell that commits its own result where it runs."""
+
+    cell: SweepCell
+    store: ResultStore
+
+    # The executor reads these for sub-seed affinity and failure context.
+    @property
+    def spec(self) -> ShardSpec:
+        return self.cell.task.spec
+
+    @property
+    def config(self) -> ResolverConfig:
+        return self.cell.task.config
+
+    def __call__(self) -> _CommittedCell:
+        result = self.cell.task()
+        payload = self.store.write_cell(self.cell.key, result)
+        return _CommittedCell(payload, result)
+
+
+def run_stored_cells(
+    cells: Sequence[SweepCell],
+    store: Optional[ResultStore] = None,
+    parallelism: int = 1,
+    timeout: Optional[float] = None,
+    retries: int = 2,
+    fail_fast: bool = False,
+    backoff_base: float = 0.05,
+    journal: Optional[SweepJournal] = None,
+    metrics=None,
+    injection: Optional[FaultInjection] = None,
+) -> List[SweepOutcome]:
+    """Load, run and merge planned cells, every stage in one executor
+    run; returns one :class:`SweepOutcome` per stage, in stage order.
+
+    Each cell's key is checked against *store* first.  The missing (or
+    corrupt) cells of every stage then run together on the
+    fault-tolerant executor, with per-cell ``timeout``, ``retries`` on a
+    deterministic backoff, and worker-loss detection.  A cell commits
+    where it runs: its task writes the verified envelope and hands the
+    payload bytes back.  The coordinator journals and counts each
+    commit as it arrives (``abort_after_commits`` fires there),
+    unpickles the result once and merges each stage in shard order.
+    Every stage's outcome carries the one run's
+    :class:`~repro.core.parallel.ExecutorHealth`.
+    """
+    stage_count = max((cell.stage for cell in cells), default=-1) + 1
+    stages = [
+        [position for position, cell in enumerate(cells) if cell.stage == s]
+        for s in range(stage_count)
+    ]
+    if journal is None and store is not None:
+        journal = store.journal()
+
+    def note(event: str, **fields: Any) -> None:
+        if journal is not None:
+            journal.record(event, **fields)
+
+    reused: Dict[int, ExperimentResult] = {}
+    for positions in stages:
+        first = cells[positions[0]].key
+        note(
+            "sweep-start",
+            kind=first.kind,
+            seed=first.seed,
+            shards=first.shard_count,
+            cells=len(positions),
+        )
+        if store is None:
+            continue
+        for position in positions:
+            key = cells[position].key
+            corrupt_before = store.stats.corrupt_detected
+            cached = store.load(key)
+            if cached is not None:
+                reused[position] = cached
+                note("reuse", shard=key.shard_index, key=key.digest())
+            elif store.stats.corrupt_detected > corrupt_before:
+                note("corrupt", shard=key.shard_index, key=key.digest())
+
+    missing = [p for p in range(len(cells)) if p not in reused]
+    tasks: List[Callable[[], Any]] = []
+    for position in missing:
+        cell = cells[position]
+        task = cell.task if store is None else _CommitTask(cell, store)
+        if injection is not None:
+            task = injection.wrap(cell.task.spec.index, task)
+        tasks.append(task)
+
+    executor = FaultTolerantExecutor(
+        workers=max(parallelism, 1),
+        timeout=timeout,
+        retries=retries,
+        keep_going=not fail_fast,
+        backoff_base=backoff_base,
+        # Injected crashes need a worker process to die in.
+        isolate=True if injection is not None else None,
+    )
+
+    fresh: Dict[int, ExperimentResult] = {}
+
+    def received(task_index: int, value: Any) -> None:
+        position = missing[task_index]
+        if isinstance(value, _CommittedCell):
+            key = cells[position].key
+            note("commit", shard=key.shard_index, key=key.digest())
+            store.note_commit()
+            value = value.value()
+        fresh[position] = value
+
+    _, quarantined, health = executor.run_with_quarantine(
+        tasks, on_result=received
+    )
+    lost: Dict[int, QuarantinedCell] = {}
+    for cell in quarantined:
+        lost[missing[cell.index]] = cell
+        # Report shard indices, not positions in the missing-task list.
+        cell.index = cells[missing[cell.index]].task.spec.index
+
+    healthy = {**reused, **fresh}
+    outcomes: List[SweepOutcome] = []
+    for positions in stages:
+        stage_lost = [lost[p] for p in positions if p in lost]
+        for cell in stage_lost:
+            note(
+                "quarantine",
+                shard=cell.index,
+                error=cell.error,
+                attempts=cell.attempts,
+                context=cell.context,
+            )
+        outcome = SweepOutcome(
+            result=merge_shard_results(
+                (cells[p].task.spec.index, healthy[p])
+                for p in positions
+                if p in healthy
+            ),
+            cells_total=len(positions),
+            cells_reused=sum(p in reused for p in positions),
+            cells_rerun=sum(p in fresh for p in positions),
+            quarantined=stage_lost,
+            health=health,
+            store_stats=store.stats if store is not None else None,
+        )
+        note(
+            "sweep-end",
+            reused=outcome.cells_reused,
+            rerun=outcome.cells_rerun,
+            quarantined=len(stage_lost),
+        )
+        outcomes.append(outcome)
+    health.emit(metrics, prefix="executor")
+    if metrics is not None:
+        metrics.inc("sweep.cells_total", len(cells))
+        metrics.inc("sweep.cells_reused", len(reused))
+        metrics.inc("sweep.cells_rerun", len(fresh))
+        metrics.inc("sweep.cells_quarantined", len(quarantined))
+    if store is not None:
+        store.stats.emit(metrics, prefix="store")
+    return outcomes
+
+
 def run_stored_sweep(
     factory: UniverseFactory,
     config: ResolverConfig,
@@ -739,7 +1011,8 @@ def run_stored_sweep(
     metrics=None,
     injection: Optional[FaultInjection] = None,
 ) -> SweepOutcome:
-    """A sharded leakage sweep over a crash-safe store.
+    """A sharded leakage sweep over a crash-safe store: the one-stage
+    call of :func:`run_stored_cells`.
 
     The shard plan is identical to
     :func:`~repro.core.parallel.run_sharded_experiment`'s; each shard's
@@ -755,128 +1028,28 @@ def run_stored_sweep(
     store's journal; they never enter ``result``, which therefore stays
     byte-identical across resume/retry histories.
     """
-    shard_count = shards if shards is not None else max(parallelism, 1)
-    plan = plan_shards(names, shard_count, seed)
-    if journal is None and store is not None:
-        journal = store.journal()
-
-    def note(event: str, **fields: Any) -> None:
-        if journal is not None:
-            journal.record(event, **fields)
-
-    note(
-        "sweep-start",
-        kind=kind,
+    cells = plan_cells(
+        factory,
+        config,
+        names,
         seed=seed,
-        shards=shard_count,
-        cells=len(plan),
+        shards=shards if shards is not None else max(parallelism, 1),
+        ptr_fraction=ptr_fraction,
+        dnssec_ok_stub=dnssec_ok_stub,
+        trace=trace,
+        kind=kind,
+        factory_key=factory_key,
     )
-    keys: List[Optional[CellKey]] = []
-    reused: Dict[int, ExperimentResult] = {}
-    for spec in plan:
-        if store is None:
-            keys.append(None)
-            continue
-        key = shard_cell_key(
-            factory,
-            config,
-            spec,
-            shard_count=shard_count,
-            seed=seed,
-            ptr_fraction=ptr_fraction,
-            dnssec_ok_stub=dnssec_ok_stub,
-            trace=trace,
-            kind=kind,
-            factory_key=factory_key,
-        )
-        keys.append(key)
-        corrupt_before = store.stats.corrupt_detected
-        cached = store.load(key)
-        if cached is not None:
-            reused[spec.index] = cached
-            note("reuse", shard=spec.index, key=key.digest())
-        elif store.stats.corrupt_detected > corrupt_before:
-            note("corrupt", shard=spec.index, key=key.digest())
-
-    missing = [spec for spec in plan if spec.index not in reused]
-    tasks: List[Callable[[], ExperimentResult]] = []
-    task_specs: List[ShardSpec] = []
-    for spec in missing:
-        task: Callable[[], ExperimentResult] = _ShardTask(
-            factory=factory,
-            config=config,
-            spec=spec,
-            ptr_fraction=ptr_fraction,
-            dnssec_ok_stub=dnssec_ok_stub,
-            trace=trace,
-        )
-        if injection is not None:
-            task = injection.wrap(spec.index, task)
-        tasks.append(task)
-        task_specs.append(spec)
-
-    executor = FaultTolerantExecutor(
-        workers=max(parallelism, 1),
+    (outcome,) = run_stored_cells(
+        cells,
+        store=store,
+        parallelism=parallelism,
         timeout=timeout,
         retries=retries,
-        keep_going=not fail_fast,
+        fail_fast=fail_fast,
         backoff_base=backoff_base,
-        # Injected crashes need a worker process to die in.
-        isolate=True if injection is not None else None,
+        journal=journal,
+        metrics=metrics,
+        injection=injection,
     )
-
-    fresh: Dict[int, ExperimentResult] = {}
-
-    def commit_cell(task_index: int, result: ExperimentResult) -> None:
-        spec = task_specs[task_index]
-        fresh[spec.index] = result
-        if store is not None and keys[spec.index] is not None:
-            store.commit(keys[spec.index], result)
-            note("commit", shard=spec.index, key=keys[spec.index].digest())
-
-    _, quarantined, health = executor.run_with_quarantine(
-        tasks, on_result=commit_cell
-    )
-    for cell in quarantined:
-        spec = task_specs[cell.index]
-        # Report shard indices, not positions in the missing-task list.
-        cell.index = spec.index
-        note(
-            "quarantine",
-            shard=spec.index,
-            error=cell.error,
-            attempts=cell.attempts,
-            context=cell.context,
-        )
-
-    pairs = [
-        (spec.index, reused.get(spec.index, fresh.get(spec.index)))
-        for spec in plan
-    ]
-    merged = merge_shard_results(
-        (index, result) for index, result in pairs if result is not None
-    )
-    outcome = SweepOutcome(
-        result=merged,
-        cells_total=len(plan),
-        cells_reused=len(reused),
-        cells_rerun=len(fresh),
-        quarantined=quarantined,
-        health=health,
-        store_stats=store.stats if store is not None else None,
-    )
-    note(
-        "sweep-end",
-        reused=outcome.cells_reused,
-        rerun=outcome.cells_rerun,
-        quarantined=len(quarantined),
-    )
-    health.emit(metrics, prefix="executor")
-    if metrics is not None:
-        metrics.inc("sweep.cells_total", outcome.cells_total)
-        metrics.inc("sweep.cells_reused", outcome.cells_reused)
-        metrics.inc("sweep.cells_rerun", outcome.cells_rerun)
-        metrics.inc("sweep.cells_quarantined", len(quarantined))
-    if store is not None:
-        store.stats.emit(metrics, prefix="store")
     return outcome

@@ -263,3 +263,76 @@ def test_run_tasks_fault_tolerant_on_result_streams():
         on_result=lambda index, result: seen.append((index, result)),
     )
     assert sorted(seen) == [(0, "a"), (1, "b")]
+
+
+# ----------------------------------------------------------------------
+# Long-lived workers: one fork per slot, seed affinity, replacement
+# ----------------------------------------------------------------------
+
+def _pid(seed=None, barrier=None):
+    """A task that reports the process it ran in.  With *barrier*, it
+    returns only once the other worker runs a task too, so the two
+    workers move through the task list in step."""
+
+    def task():
+        if barrier is not None:
+            barrier.wait(timeout=30)
+        return os.getpid()
+
+    if seed is not None:
+        task.spec = type("Spec", (), {"seed": seed, "index": 0})()
+    return task
+
+
+@fork_only
+def test_two_workers_run_every_task_in_two_processes():
+    executor = FaultTolerantExecutor(workers=2, retries=0)
+    pids = executor.run([_pid() for _ in range(8)])
+    assert len(set(pids)) == 2
+    assert os.getpid() not in pids
+    assert_no_hung_children()
+
+
+@fork_only
+def test_tasks_sharing_a_subseed_share_a_worker():
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+    seeds = [11, 22] * 4
+    executor = FaultTolerantExecutor(workers=2, retries=0)
+    pids = executor.run([_pid(seed, barrier) for seed in seeds])
+    by_seed = {}
+    for seed, pid in zip(seeds, pids):
+        by_seed.setdefault(seed, set()).add(pid)
+    assert by_seed[11] == {pids[0]} and by_seed[22] == {pids[1]}
+    assert pids[0] != pids[1]
+    assert_no_hung_children()
+
+
+@fork_only
+def test_replacement_worker_finishes_after_a_lost_worker():
+    executor = FaultTolerantExecutor(
+        workers=1, retries=0, keep_going=True, isolate=True
+    )
+    results, quarantined, health = executor.run_with_quarantine(
+        [_pid(), _pid(), _die(), _pid(), _pid()]
+    )
+    assert [cell.index for cell in quarantined] == [2]
+    assert quarantined[0].error == "worker-lost"
+    assert health.worker_lost == 1 and health.cells_ok == 4
+    first, replacement = results[0], results[3]
+    assert results[1] == first and results[4] == replacement
+    assert first != replacement
+    assert_no_hung_children()
+
+
+@fork_only
+def test_replacement_worker_finishes_after_a_timeout():
+    executor = FaultTolerantExecutor(
+        workers=1, retries=0, keep_going=True, timeout=0.5
+    )
+    results, quarantined, health = executor.run_with_quarantine(
+        [_pid(), _hang(), _pid(), _pid()]
+    )
+    assert quarantined[0].index == 1 and quarantined[0].error == "timeout"
+    assert health.timeouts == 1 and health.cells_ok == 3
+    assert results[2] == results[3] != results[0]
+    assert_no_hung_children()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import sharded_leakage_sweep
 from repro.core import (
     FaultInjection,
     ResultStore,
@@ -253,3 +254,171 @@ def test_stored_sweep_quarantine_keeps_going(tmp_path):
     assert result_fingerprint(healed.result) == result_fingerprint(
         _reference(seed)
     )
+
+
+def _sizes_reference(sizes, shards, seed):
+    """Per-size serial references of a multi-size stored sweep."""
+    references = []
+    for size in sizes:
+        factory = standard_universe_factory(
+            size, filler_count=FILLER, workload_seed=seed
+        )
+        references.append(
+            result_fingerprint(
+                run_sharded_experiment(
+                    factory,
+                    correct_bind_config(),
+                    standard_workload(size, seed=seed).names(size),
+                    seed=seed,
+                    shards=shards,
+                    executor=SerialExecutor(),
+                )
+            )
+        )
+    return references
+
+
+def test_two_size_pooled_sweep_runs_once_and_resumes(tmp_path):
+    """Both sizes' cells run in one 2-worker fan-out; every size keeps
+    its own outcome, equal to the serial reference, and a second call
+    reuses all four cells."""
+    seed = SEEDS[0]
+    sizes = (12, 30)
+
+    def sweep():
+        outcomes = []
+        sharded_leakage_sweep(
+            sizes=sizes,
+            seed=seed,
+            filler_count=FILLER,
+            shards=2,
+            parallelism=2,
+            store=ResultStore(tmp_path / "store"),
+            outcomes=outcomes,
+        )
+        return outcomes
+
+    references = _sizes_reference(sizes, 2, seed)
+    first = sweep()
+    assert [outcome.cells_total for outcome in first] == [2, 2]
+    assert sum(outcome.cells_rerun for outcome in first) == 4
+    assert first[0].store_stats.commits == 4
+    assert len(list((tmp_path / "store").glob("*/*.cell"))) == 4
+    assert [result_fingerprint(o.result) for o in first] == references
+    second = sweep()
+    assert [outcome.cells_reused for outcome in second] == [2, 2]
+    assert sum(outcome.cells_rerun for outcome in second) == 0
+    assert [result_fingerprint(o.result) for o in second] == references
+    for child_process in multiprocessing.active_children():
+        child_process.join(timeout=5)
+    assert multiprocessing.active_children() == []
+
+
+POOLED_CHILD_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.core import ResultStore, run_stored_sweep
+    from repro.core import standard_universe_factory, standard_workload
+    from repro.resolver import correct_bind_config
+
+    root, seed, abort_after = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    domains, filler, shards = {domains}, {filler}, {shards}
+    factory = standard_universe_factory(
+        domains, filler_count=filler, workload_seed=seed
+    )
+    names = standard_workload(domains, seed=seed).names(domains)
+    run_stored_sweep(
+        factory,
+        correct_bind_config(),
+        names,
+        seed=seed,
+        shards=shards,
+        parallelism=2,
+        store=ResultStore(root, abort_after_commits=abort_after),
+    )
+    sys.exit(7)
+    """
+).format(domains=DOMAINS, filler=FILLER, shards=SHARDS)
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_pooled_sweep_killed_after_commits_resumes_byte_identical(tmp_path):
+    """A 2-worker sweep that SIGTERMs its coordinator after the second
+    commit counted keeps every cell its workers committed (two, or
+    three if a worker finished one first), and the resume matches the
+    serial reference."""
+    seed = SEEDS[0]
+    store_root = tmp_path / "store"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", POOLED_CHILD_SCRIPT, str(store_root),
+         str(seed), "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == -signal.SIGTERM, (
+        child.returncode,
+        child.stdout,
+        child.stderr,
+    )
+    committed = len(list(store_root.glob("*/*.cell")))
+    assert committed >= 2
+    factory, names = _inputs(seed)
+    outcome = run_stored_sweep(
+        factory,
+        correct_bind_config(),
+        names,
+        seed=seed,
+        shards=SHARDS,
+        store=ResultStore(store_root),
+    )
+    assert outcome.cells_reused == committed
+    assert outcome.cells_reused + outcome.cells_rerun == SHARDS
+    assert result_fingerprint(outcome.result) == result_fingerprint(
+        _reference(seed)
+    )
+
+
+HASH_SEED_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.core import ResultStore, run_stored_sweep
+    from repro.core import standard_universe_factory, standard_workload
+    from repro.resolver import correct_bind_config
+
+    factory = standard_universe_factory(
+        30, filler_count=150, workload_seed=2016
+    )
+    names = standard_workload(30, seed=2016).names(30)
+    run_stored_sweep(
+        factory, correct_bind_config(), names, seed=2016, shards=1,
+        store=ResultStore(sys.argv[1]),
+    )
+    """
+)
+
+
+def test_cell_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The same cell committed by two interpreters with different
+    string-hash seeds is the same file, byte for byte."""
+    cells = []
+    for hash_seed in ("1", "2"):
+        root = tmp_path / f"store-{hash_seed}"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = hash_seed
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(root)],
+            env=env,
+            check=True,
+            timeout=120,
+        )
+        (cell,) = root.glob("*/*.cell")
+        cells.append((cell.name, cell.read_bytes()))
+    assert cells[0][0] == cells[1][0]
+    assert cells[0][1] == cells[1][1]
