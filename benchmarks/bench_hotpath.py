@@ -38,6 +38,8 @@ import statistics
 import time
 from pathlib import Path
 
+from conftest import host
+
 from repro import perf
 from repro.core import (
     LeakageExperiment,
@@ -213,6 +215,7 @@ def test_hotpath_speedup():
             "reps": REPS,
             "seed": SEED,
         },
+        "host": host(),
         "uncached": {
             "total_seconds": round(uncached_total, 4),
             "stages": {k: round(v, 4) for k, v in uncached_stage.items()},

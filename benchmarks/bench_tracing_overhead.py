@@ -21,6 +21,8 @@ import json
 import time
 from pathlib import Path
 
+from conftest import host
+
 from repro.core import (
     LeakageExperiment,
     MetricsRegistry,
@@ -78,6 +80,7 @@ def test_tracing_overhead():
     on_overhead = timings["on"] / timings["off"] - 1.0
     payload = {
         "workload": {"domains": DOMAINS, "filler": FILLER, "repeats": REPEATS},
+        "host": host(),
         "seconds": {arm: round(value, 4) for arm, value in timings.items()},
         "overhead": {
             "noop_vs_off": round(noop_overhead, 4),

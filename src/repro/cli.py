@@ -692,6 +692,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profiler.enable()
         workload = standard_workload(args.domains)
         universe = standard_universe(workload, filler_count=args.filler)
+        setup_collections, setup_collector_s = list(collections), collector_s
         experiment = LeakageExperiment(universe, correct_bind_config())
         experiment.run(workload.names(args.domains))
         profiler.disable()
@@ -709,11 +710,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for name, stats_dict in cache_lines.items():
             rendered = " ".join(f"{k}={v}" for k, v in stats_dict.items())
             print(f"  {name}: {rendered}")
-    gen0, gen1, gen2 = collections
-    print(
-        f"Garbage collector: {gen0} gen0, {gen1} gen1, {gen2} gen2 "
-        f"collections in {collector_s:.3f} s"
-    )
+    for label, (gen0, gen1, gen2), seconds in (
+        (" in set-up", setup_collections, setup_collector_s),
+        ("", collections, collector_s),
+    ):
+        print(
+            f"Garbage collector{label}: {gen0} gen0, {gen1} gen1, {gen2} gen2 "
+            f"collections in {seconds:.3f} s"
+        )
     return 0
 
 

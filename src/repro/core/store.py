@@ -65,7 +65,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .. import __version__
+from .. import __version__, perf
 from ..dnscore import Name
 from ..resolver import ResolverConfig
 from .experiment import ExperimentResult
@@ -557,9 +557,12 @@ class ResultStore:
             )
             if hashlib.sha256(payload).hexdigest() != envelope["payload_sha256"]:
                 return None
-            result = pickle.loads(payload)
-            if fingerprint_digest(result) != envelope["fingerprint_sha256"]:
-                return None
+            # Sound bytes unpickle into a long-lived graph: no collector
+            # passes over it while it loads and is fingerprinted.
+            with perf.collector_paused():
+                result = pickle.loads(payload)
+                if fingerprint_digest(result) != envelope["fingerprint_sha256"]:
+                    return None
             return result
         except Exception:
             return None
@@ -822,7 +825,8 @@ class _CommittedCell:
 
     def value(self) -> ExperimentResult:
         if self.result is None:
-            self.result = pickle.loads(self.payload)
+            with perf.collector_paused():
+                self.result = pickle.loads(self.payload)
         return self.result
 
 

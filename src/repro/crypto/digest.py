@@ -10,6 +10,7 @@ miss reveals only a digest.
 from __future__ import annotations
 
 import hashlib
+from typing import Tuple, Union
 
 from ..dnscore import DLV, DS, DigestType, DNSKEY, Name
 from ..dnscore.rdata import _encode_name
@@ -63,7 +64,12 @@ def verify_ds_matches(owner: Name, dnskey: DNSKEY, ds: DS) -> bool:
 HASH_LABEL_HEX_CHARS = 56
 
 
-def hash_domain_label(domain: Name) -> str:
-    """The paper's ``crypto_hash(domain_name)`` as a single DNS label."""
-    digest = hashlib.sha256(domain.to_text().encode("ascii")).hexdigest()
+def hash_domain_label(domain: Union[Name, Tuple[str, ...]]) -> str:
+    """The paper's ``crypto_hash(domain_name)`` as a single DNS label.
+
+    *domain* is a name or its labels; both hash the name's text form.
+    """
+    labels = domain.labels if isinstance(domain, Name) else domain
+    text = ".".join(labels) + "."
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     return digest[:HASH_LABEL_HEX_CHARS]

@@ -16,11 +16,16 @@ Per-instance caches (e.g. an rdata's encoded wire form stashed on the
 instance) cannot be enumerated centrally; they are instead *read-gated*
 on :data:`ENABLED`, so disabling the switch makes stale entries
 unreachable without having to find them.
+
+:class:`collector_paused` is apart from that switch: it keeps CPython's
+cyclic garbage collector off while a block builds or loads a large,
+long-lived object graph that cannot be garbage.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -87,3 +92,30 @@ def caches_disabled():
         yield
     finally:
         set_caches_enabled(previous)
+
+
+class collector_paused:
+    """Run the block with the cyclic garbage collector off, if it is on.
+
+    A world build or a cell load allocates tens of thousands of
+    long-lived objects, and every few hundred of them start a
+    collection that walks the young ones again although none can be
+    garbage yet; paused, the collector sees them once, when it next
+    runs.  Pause only such builds and loads, never a walk or a replay,
+    which can make cyclic garbage.  The collector is back on when the
+    block exits, also by an exception; inside a paused block, or when
+    the caller turned the collector off, this does nothing.  Leaving
+    the block allocates nothing, so the one pass over what it built
+    starts at the caller's next allocation.
+    """
+
+    __slots__ = ("_paused",)
+
+    def __enter__(self) -> None:
+        self._paused = gc.isenabled()
+        if self._paused:
+            gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._paused:
+            gc.enable()

@@ -5,20 +5,23 @@ Zone owners deposit DLV records (DS-shaped trust anchors, RFC 4431);
 resolvers query ``<domain>.<registry-origin>`` with type DLV.
 
 The zone view here is *synthetic*: instead of materialising hundreds of
-thousands of RRsets, it indexes each deposit by its owner's labels
-below the registry origin -- the domain's own labels, or the single
-hash label in hashed mode.  One set of those relative suffixes tells
-owners and empty non-terminals from non-existent names, and the NSEC
-chain keeps the owners in canonical order, the origin first.  Owner
-names, covering NSEC (or NSEC3) denials and RRSIGs are built only for
-the answers served (the hashed-denial modes hash every owner name once,
-at build).  A deposit arrives as the depositor's key set, or as the
-key pool that holds it.  The first time an answer needs the deposit's
-DLV rdata, the zone asks the pool for the key set, makes the rdata from
-its KSK and keeps the rdata in place of the deposit.  Building a
-registry thus costs a few set, dict and sort operations per deposit,
-which keeps the calibrated 60,000-entry registry and top-100k leakage
-sweeps cheap while serving byte-accurate responses.
+thousands of RRsets, it keys each deposit by the depositing domain's
+labels and indexes it by its owner's labels below the registry origin
+-- the domain's own labels, so in plain mode the deposit map is the
+owner index, or the single hash label in hashed mode.  One set of those
+relative suffixes tells owners and empty non-terminals from
+non-existent names, and the NSEC chain keeps the owners in canonical
+order, the origin first.  Owner names, covering NSEC (or NSEC3)
+denials and RRSIGs are built only for the answers served (the
+hashed-denial modes hash every owner name once, at build).  A deposit
+arrives as the depositor's key set, or as the key pool that holds it.
+The first time an answer needs the deposit's DLV rdata, the zone builds
+the depositor's :class:`Name`, asks the pool for the key set, makes the
+rdata from its KSK and keeps the rdata in place of the deposit.
+Building a registry thus costs a few set, dict and sort operations per
+deposit and no :class:`Name`, which keeps the calibrated 60,000-entry
+registry and top-100k leakage sweeps cheap while serving byte-accurate
+responses.
 
 Operating modes map to the paper's scenarios:
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..crypto import hash_domain_label, make_dlv, nsec3_owner_label
 from ..crypto.keys import KeyPool, ZoneKeySet
@@ -100,14 +103,19 @@ class DenialMode(enum.Enum):
 Deposit = Union[DLVRdata, ZoneKeySet, KeyPool]
 
 
+#: A depositing domain's labels, lowercase, most specific first.
+Labels = Tuple[str, ...]
+
+
 class DlvRegistryZone:
-    """Synthetic zone view over a set of DLV deposits."""
+    """Synthetic zone view over a set of DLV deposits, keyed by the
+    depositing domains' labels."""
 
     def __init__(
         self,
         origin: Name,
         keyset: ZoneKeySet,
-        deposits: Mapping[Name, Deposit],
+        deposits: Mapping[Labels, Deposit],
         ns_host: Optional[Name] = None,
         ns_address: str = "192.0.2.200",
         hashed: bool = False,
@@ -120,11 +128,16 @@ class DlvRegistryZone:
         self.denial = denial
         self.ttl = ttl
         self._origin_labels = origin.labels
-        self._deposits: Dict[Name, Deposit] = dict(deposits)
-        # Registry-relative labels of each deposit's owner -> domain.
-        self._owners: Dict[Tuple[str, ...], Name] = {
-            self._relative_owner(domain): domain for domain in self._deposits
-        }
+        self._deposits: Dict[Labels, Deposit] = dict(deposits)
+        # Registry-relative labels of each deposit's owner: a domain's
+        # own labels, so plain mode indexes owners by the deposit map
+        # itself; hashed mode maps the hash label to the domain's labels.
+        self._owners: Mapping[Labels, object] = self._deposits
+        if hashed:
+            self._owners = {
+                (hash_domain_label(labels),): labels
+                for labels in self._deposits
+            }
         # Existence set: owners, empty non-terminals and the origin.
         self._names = {()}
         for relative in self._owners:
@@ -166,11 +179,12 @@ class DlvRegistryZone:
     # Deposit bookkeeping
     # ------------------------------------------------------------------
 
-    def _relative_owner(self, domain: Name) -> Tuple[str, ...]:
-        """The labels, below the origin, of *domain*'s deposit owner."""
+    def _relative_owner(self, labels: Labels) -> Labels:
+        """The labels, below the origin, of the deposit owner for the
+        domain with *labels*."""
         if self.hashed:
-            return (hash_domain_label(domain),)
-        return domain.labels
+            return (hash_domain_label(labels),)
+        return labels
 
     def _owner_name(self, key: Tuple[str, ...]) -> Name:
         """The owner name behind a key of the NSEC chain."""
@@ -178,10 +192,10 @@ class DlvRegistryZone:
 
     def registered_name(self, domain: Name) -> Name:
         """The owner name a deposit for *domain* lives under."""
-        return Name(self._relative_owner(domain) + self._origin_labels)
+        return Name(self._relative_owner(domain.labels) + self._origin_labels)
 
     def has_deposit(self, domain: Name) -> bool:
-        return domain in self._deposits
+        return domain.labels in self._deposits
 
     def has_owner(self, owner: Name) -> bool:
         """Is there a DLV RRset at this exact owner name?"""
@@ -192,18 +206,23 @@ class DlvRegistryZone:
     def deposit_count(self) -> int:
         return len(self._deposits)
 
-    def deposited_domains(self) -> Iterable[Name]:
-        return self._deposits.keys()
+    def deposited_domains(self) -> List[Name]:
+        """Every depositing domain, in deposit order, as a name built
+        for the call."""
+        return [Name(labels) for labels in self._deposits]
 
-    def _dlv(self, domain: Name) -> DLVRdata:
-        """*domain*'s DLV rdata.  A key-set or key-pool deposit is turned
-        into its rdata the first time an answer needs it, in place."""
-        deposit = self._deposits[domain]
-        if isinstance(deposit, KeyPool):
-            deposit = deposit.keys_for_zone(domain)
-        if isinstance(deposit, ZoneKeySet):
+    def _dlv(self, relative: Labels) -> DLVRdata:
+        """The DLV rdata at the owner with *relative* labels.  A key-set
+        or key-pool deposit is turned into its rdata the first time an
+        answer needs it, in place; the depositor's name is built then."""
+        labels = self._owners[relative] if self.hashed else relative
+        deposit = self._deposits[labels]
+        if isinstance(deposit, (KeyPool, ZoneKeySet)):
+            domain = Name(labels)
+            if isinstance(deposit, KeyPool):
+                deposit = deposit.keys_for_zone(domain)
             deposit = make_dlv(domain, deposit.ksk.dnskey)
-            self._deposits[domain] = deposit
+            self._deposits[labels] = deposit
         return deposit
 
     # ------------------------------------------------------------------
@@ -274,10 +293,9 @@ class DlvRegistryZone:
         relative = labels[: len(labels) - len(self._origin_labels)]
         if not relative:
             return self._apex_lookup(qtype, dnssec_ok)
-        domain = self._owners.get(relative)
-        if domain is not None:
+        if relative in self._owners:
             if qtype is RRType.DLV:
-                rrset = RRset(qname, RRType.DLV, self.ttl, (self._dlv(domain),))
+                rrset = RRset(qname, RRType.DLV, self.ttl, (self._dlv(relative),))
                 answer = [rrset]
                 if dnssec_ok:
                     answer.append(self._rrsig(rrset))
@@ -340,11 +358,16 @@ class DLVRegistryServer(AuthoritativeServer):
         record, the first time an answer needs it.  ``extra_owners``
         lets callers add background entries (registered domains that
         the experiment never queries but that shape the NSEC chain,
-        mirroring the real registry's population).
+        mirroring the real registry's population).  Both are keyed by
+        name here; the zone keys them by the names' labels.
         """
-        merged: Dict[Name, Deposit] = dict(deposits)
+        merged: Dict[Labels, Deposit] = {
+            domain.labels: deposit for domain, deposit in deposits.items()
+        }
         if extra_owners:
-            merged.update(extra_owners)
+            merged.update(
+                (domain.labels, rdata) for domain, rdata in extra_owners.items()
+            )
         zone = DlvRegistryZone(
             origin=origin,
             keyset=keyset,

@@ -25,6 +25,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import perf
@@ -259,40 +260,43 @@ class AlexaWorkload:
     """The generated population, ordered by popularity rank."""
 
     def __init__(self, count: int, params: Optional[WorkloadParams] = None):
-        self.params = params or WorkloadParams()
-        self._rng = random.Random(self.params.seed)
-        self._names = NameGenerator(self._rng, self.params)
-        self.domains: List[DomainSpec] = []
-        self._by_name: Dict[Name, DomainSpec] = {}
-        tld_labels = [tld.label for tld in self.params.tlds]
-        # Name labels of each TLD; generated labels are lowercase, so a
-        # (label, TLD label) pair is a name's labels before it is built.
-        tld_keys = [label.lower() for label in tld_labels]
-        tld_cum_weights, tld_total = _cumulative(
-            tld.weight for tld in self.params.tlds
-        )
-        last = len(tld_labels) - 1
-        signed_tlds = {tld.label for tld in self.params.tlds if tld.signed}
-        draw = self._rng.random
-        seen = set()
-        rank = 0
-        while len(self.domains) < count:
-            label = self._names.label()
-            # rng.choices(tld_labels, weights=...)[0], inlined.
-            index = bisect.bisect(
-                tld_cum_weights, draw() * tld_total, 0, last
+        # The list is one long-lived graph: draw it with the collector
+        # paused.
+        with perf.collector_paused():
+            self.params = params or WorkloadParams()
+            self._rng = random.Random(self.params.seed)
+            self._names = NameGenerator(self._rng, self.params)
+            self.domains: List[DomainSpec] = []
+            self._by_name: Dict[Name, DomainSpec] = {}
+            tld_labels = [tld.label for tld in self.params.tlds]
+            # Name labels of each TLD; generated labels are lowercase, so a
+            # (label, TLD label) pair is a name's labels before it is built.
+            tld_keys = [label.lower() for label in tld_labels]
+            tld_cum_weights, tld_total = _cumulative(
+                tld.weight for tld in self.params.tlds
             )
-            key = (label, tld_keys[index])
-            if key in seen:
-                continue
-            seen.add(key)
-            name = Name(key)
-            rank += 1
-            spec = self._make_spec(
-                name, rank, tld_labels[index] in signed_tlds
-            )
-            self.domains.append(spec)
-            self._by_name[name] = spec
+            last = len(tld_labels) - 1
+            signed_tlds = {tld.label for tld in self.params.tlds if tld.signed}
+            draw = self._rng.random
+            seen = set()
+            rank = 0
+            while len(self.domains) < count:
+                label = self._names.label()
+                # rng.choices(tld_labels, weights=...)[0], inlined.
+                index = bisect.bisect(
+                    tld_cum_weights, draw() * tld_total, 0, last
+                )
+                key = (label, tld_keys[index])
+                if key in seen:
+                    continue
+                seen.add(key)
+                name = Name(key)
+                rank += 1
+                spec = self._make_spec(
+                    name, rank, tld_labels[index] in signed_tlds
+                )
+                self.domains.append(spec)
+                self._by_name[name] = spec
 
     def _make_spec(self, name: Name, rank: int, tld_signed: bool) -> DomainSpec:
         p = self.params
@@ -349,12 +353,15 @@ class AlexaWorkload:
         self,
         count: int,
         tld_weights: Optional[Dict[str, float]] = None,
-    ) -> List[Name]:
+    ) -> List[Tuple[str, str]]:
         """Background registry deposits: domains registered in the DLV
-        zone that the experiment never queries.  Labels are uniform (the
-        registry population does not track query-name clustering); the
-        TLD mix defaults to the workload's own mix tilted toward the
-        DNSSEC-friendly TLDs, mirroring the real registry."""
+        zone that the experiment never queries, as ``(label, tld)``
+        label tuples (a registry keys its deposits by labels and builds
+        a depositor's :class:`Name` only when it answers for it).
+        Labels are uniform (the registry population does not track
+        query-name clustering); the TLD mix defaults to the workload's
+        own mix tilted toward the DNSSEC-friendly TLDs, mirroring the
+        real registry."""
         if tld_weights is None:
             tld_weights = self.calibrated_filler_weights()
         # The population is a pure function of (params, workload size,
@@ -372,27 +379,36 @@ class AlexaWorkload:
             if cached is not None:
                 return list(cached)
         # Independent RNG: the filler population must not depend on how
-        # many workload domains were generated before it.
-        rng = random.Random(self.params.seed ^ 0xF111E4)
-        # The filler stream starts where a generator's vocabulary ends.
-        NameGenerator(rng, self.params)
-        names: List[Name] = []
-        seen = {name.labels for name in self._by_name}
-        if count > 0:
-            draws = _uniform_filler_draws(
-                rng,
-                [label.lower() for label in tld_weights],
-                *_cumulative(tld_weights.values()),
-            )
-            while len(names) < count:
-                key = next(draws)
-                if key in seen:
-                    continue
-                seen.add(key)
-                names.append(Name(key))
-        if perf.ENABLED:
-            _FILLER_MEMO.put(memo_key, tuple(names))
-        return names
+        # many workload domains were generated before it.  The draws are
+        # long-lived: make them with the collector paused.
+        with perf.collector_paused():
+            rng = random.Random(self.params.seed ^ 0xF111E4)
+            # The filler stream starts where a generator's vocabulary ends.
+            NameGenerator(rng, self.params)
+            filler: List[Tuple[str, str]] = []
+            seen = {name.labels for name in self._by_name}
+            if count > 0:
+                # One string per TLD label whatever the draw: names pickle
+                # their labels by identity, so a draw's own copies would
+                # make a stored cell's bytes depend on which draws its
+                # process made before.
+                draws = _uniform_filler_draws(
+                    rng,
+                    [sys.intern(label.lower()) for label in tld_weights],
+                    *_cumulative(tld_weights.values()),
+                )
+                while len(filler) < count:
+                    key = next(draws)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    filler.append(key)
+                # Closing the endless generator raises in its frame, an
+                # allocation: do it while the collector is still paused.
+                draws.close()
+            if perf.ENABLED:
+                _FILLER_MEMO.put(memo_key, tuple(filler))
+        return filler
 
     def calibrated_filler_weights(self) -> Dict[str, float]:
         """The registry-population TLD mix that reproduces the paper's

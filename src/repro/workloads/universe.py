@@ -29,6 +29,7 @@ import hashlib
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import perf
 from ..crypto import KeyPool
 from ..dnscore import (
     A,
@@ -69,8 +70,9 @@ class UniverseParams:
     modulus_bits: int = 512
     key_pool_size: int = 32
     registry_origin: Name = Name.from_text("dlv.isc.org")
-    #: Background DLV registry entries beyond the workload's deposits.
-    registry_filler: Sequence[Name] = ()
+    #: Background DLV registry entries beyond the workload's deposits,
+    #: as label tuples (:meth:`AlexaWorkload.registry_filler`'s draws).
+    registry_filler: Sequence[Tuple[str, ...]] = ()
     #: Privacy-preserving (hashed) registry — paper Section 6.2.2.
     registry_hashed: bool = False
     #: NSEC3 denial at the registry — paper Section 7.3.
@@ -128,44 +130,47 @@ class Universe:
         tlds: Sequence[TldSpec] = DEFAULT_TLDS,
         extra_domains: Sequence[DomainSpec] = (),
     ):
-        self.params = params or UniverseParams()
-        self.clock = SimClock()
-        self.network = Network(
-            clock=self.clock,
-            latency=LatencyModel(
+        # A world is one long-lived graph: build it with the collector
+        # paused.
+        with perf.collector_paused():
+            self.params = params or UniverseParams()
+            self.clock = SimClock()
+            self.network = Network(
+                clock=self.clock,
+                latency=LatencyModel(
+                    seed=self.params.seed,
+                    min_base=self.params.latency_min,
+                    max_base=self.params.latency_max,
+                    jitter=self.params.latency_jitter,
+                ),
+                loss_rate=self.params.loss_rate,
+                loss_seed=self.params.seed ^ 0x7055,
+            )
+            self.keys = KeyPool(
                 seed=self.params.seed,
-                min_base=self.params.latency_min,
-                max_base=self.params.latency_max,
-                jitter=self.params.latency_jitter,
-            ),
-            loss_rate=self.params.loss_rate,
-            loss_seed=self.params.seed ^ 0x7055,
-        )
-        self.keys = KeyPool(
-            seed=self.params.seed,
-            pool_size=self.params.key_pool_size,
-            modulus_bits=self.params.modulus_bits,
-        )
-        self.domains: List[DomainSpec] = list(domains) + list(extra_domains)
-        self._spec_by_name: Dict[Name, DomainSpec] = {
-            spec.name: spec for spec in self.domains
-        }
-        self._tlds = list(tlds)
-        self._tld_by_label = {tld.label: tld for tld in self._tlds}
-        self._address_counter = 0
-        self._apex_address: Dict[Name, str] = {}
-        self._resolver_count = 0
-        self._stub_count = 0
-        #: Telemetry sinks handed to every resolver built by
-        #: :meth:`make_resolver`; ``None`` until
-        #: :meth:`attach_telemetry` installs real ones.
-        self.tracer = None
-        self.metrics = None
+                pool_size=self.params.key_pool_size,
+                modulus_bits=self.params.modulus_bits,
+            )
+            self.domains: List[DomainSpec] = list(domains) + list(extra_domains)
+            self._spec_by_name: Dict[Name, DomainSpec] = {
+                spec.name: spec for spec in self.domains
+            }
+            self._tlds = list(tlds)
+            self._tld_by_label = {tld.label: tld for tld in self._tlds}
+            self._address_counter = 0
+            self._apex_address: Dict[Name, str] = {}
+            self._resolver_count = 0
+            self._stub_count = 0
+            #: Telemetry sinks handed to every resolver built by
+            #: :meth:`make_resolver`; ``None`` until
+            #: :meth:`attach_telemetry` installs real ones.
+            self.tracer = None
+            self.metrics = None
 
-        self._build_registry()
-        self._build_hosting()
-        self._build_tlds()
-        self._build_root()
+            self._build_registry()
+            self._build_hosting()
+            self._build_tlds()
+            self._build_root()
 
     # ------------------------------------------------------------------
     # Address allocation
@@ -184,13 +189,18 @@ class Universe:
         params = self.params
         self.registry_origin = params.registry_origin
         self.registry_keys = self.keys.keys_for_zone(self.registry_origin)
-        deposits: Dict[Name, KeyPool] = {}
+        deposits: Dict[Tuple[str, ...], KeyPool] = {}
         if not params.registry_empty:
-            # Each depositor's key set comes from the pool the first
-            # time the registry makes its DLV record.
+            # Keyed by labels: each depositor's name, and its key set
+            # from the pool, are made the first time the registry makes
+            # its DLV record.
             deposits = dict.fromkeys(
                 itertools.chain(
-                    (spec.name for spec in self.domains if spec.dlv_deposited),
+                    (
+                        spec.name.labels
+                        for spec in self.domains
+                        if spec.dlv_deposited
+                    ),
                     params.registry_filler,
                 ),
                 self.keys,

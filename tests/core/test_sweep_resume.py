@@ -422,3 +422,40 @@ def test_cell_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         cells.append((cell.name, cell.read_bytes()))
     assert cells[0][0] == cells[1][0]
     assert cells[0][1] == cells[1][1]
+
+
+HISTORY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    from repro.analysis import sharded_leakage_sweep
+    from repro.core import ResultStore
+
+    sharded_leakage_sweep(
+        sizes=(30, 60), seed=2016, filler_count=2000, shards=2,
+        parallelism=int(sys.argv[2]), store=ResultStore(sys.argv[1]),
+    )
+    """
+)
+
+
+def test_cell_bytes_do_not_depend_on_the_process_history(tmp_path):
+    """A two-size sweep run serially (every cell after the ones before
+    it, in one process) and on two workers (each cell after those of
+    its sub-seed) commits the same files, byte for byte."""
+    stores = []
+    for parallelism in ("1", "2"):
+        root = tmp_path / f"store-{parallelism}"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", HISTORY_SCRIPT, str(root), parallelism],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        stores.append(
+            {cell.name: cell.read_bytes() for cell in root.glob("*/*.cell")}
+        )
+    assert len(stores[0]) == 4
+    assert stores[0] == stores[1]

@@ -174,8 +174,8 @@ class EagerUniverse(Universe):
             for spec in self.domains:
                 if spec.dlv_deposited:
                     self.keys.keys_for_zone(spec.name)
-            for filler in self.params.registry_filler:
-                self.keys.keys_for_zone(filler)
+            for labels in self.params.registry_filler:
+                self.keys.keys_for_zone(Name(labels))
         super()._build_registry()
 
 

@@ -207,8 +207,11 @@ def test_relative_index_answers_like_owner_name_index(
             deposits = {Name(labels): POOL.keys_for_zone(Name(labels))
                         for labels in domains}
         keyset = POOL.keys_for_zone(ORIGIN)
+        # The zone keys its deposits by label tuples, the reference by
+        # names.
         zone = DlvRegistryZone(
-            origin=ORIGIN, keyset=keyset, deposits=deposits,
+            origin=ORIGIN, keyset=keyset,
+            deposits={domain.labels: keys for domain, keys in deposits.items()},
             hashed=hashed, denial=denial, ttl=TTL,
         )
         reference = ReferenceRegistryZone(keyset, deposits, hashed, denial)

@@ -101,7 +101,7 @@ class TestRegistryFiller:
 
     def test_disjoint_from_workload(self, workload):
         filler = set(workload.registry_filler(500))
-        assert filler.isdisjoint(set(workload.names()))
+        assert filler.isdisjoint({name.labels for name in workload.names()})
 
     def test_independent_of_workload_size(self):
         a = AlexaWorkload(100, WorkloadParams(seed=5)).registry_filler(200)
@@ -116,4 +116,4 @@ class TestRegistryFiller:
 
     def test_filler_respects_custom_weights(self, workload):
         filler = workload.registry_filler(300, tld_weights={"de": 1.0})
-        assert all(name.labels[-1] == "de" for name in filler)
+        assert all(labels[-1] == "de" for labels in filler)

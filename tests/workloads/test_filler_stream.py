@@ -66,7 +66,8 @@ class ReferenceNames:
 
 
 def reference_filler(workload: AlexaWorkload, count: int):
-    """``registry_filler(count)`` with every draw made by ``random``."""
+    """``registry_filler(count)`` with every draw made by ``random``: the
+    label tuples of the names drawn."""
     weights = workload.calibrated_filler_weights()
     tlds = list(weights)
     rng = random.Random(workload.params.seed ^ 0xF111E4)
@@ -79,7 +80,7 @@ def reference_filler(workload: AlexaWorkload, count: int):
         name = Name([label, tld])
         if name not in seen:
             seen.add(name)
-            filler.append(name)
+            filler.append(name.labels)
     return filler
 
 

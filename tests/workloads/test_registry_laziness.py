@@ -12,7 +12,7 @@ import pytest
 import repro.servers.dlv_registry as dlv_registry
 import repro.workloads.universe as universe_module
 from repro.crypto import make_dlv
-from repro.dnscore import RRType
+from repro.dnscore import Name, RRType
 from repro.workloads import AlexaWorkload, Universe, UniverseParams, WorkloadParams
 from repro.zones.zone import LookupOutcome
 
@@ -46,14 +46,15 @@ def test_dlv_records_are_made_on_first_answer(dlv_calls, hashed):
     assert registry.deposit_count() >= 2000
     assert dlv_calls == []
 
-    domain = filler[1234]
+    labels = filler[1234]
+    domain = Name(labels)
     owner = registry.registered_name(domain)
     first = registry.lookup(owner, RRType.DLV, dnssec_ok=True)
     assert first.outcome is LookupOutcome.ANSWER
-    assert dlv_calls == [domain]
+    assert [name.labels for name in dlv_calls] == [labels]
 
     again = registry.lookup(owner, RRType.DLV, dnssec_ok=True)
-    assert dlv_calls == [domain]
+    assert [name.labels for name in dlv_calls] == [labels]
     assert again.answer[0] == first.answer[0]
     assert first.answer[0].first() == make_dlv(
         domain, universe.keys.keys_for_zone(domain).ksk.dnskey
