@@ -31,9 +31,9 @@ Environment overrides for CI smoke runs:
 """
 
 import dataclasses
-import json
 import os
-from pathlib import Path
+
+from conftest import record
 
 from repro.core import (
     ReplayLoad,
@@ -59,8 +59,6 @@ WINDOW_SECONDS = 600.0
 FAULT_START = 900.0
 FAULT_END = min(DURATION - 600.0, DURATION * 11 / 12)
 SEED = 2017
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_chaos_load.json"
 
 MODES = {
     # (outage rcode, resolver config)
@@ -159,7 +157,7 @@ def test_chaos_load():
             for mode in MODES
         },
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("chaos_load", payload)
 
     print()
     print(f"fault window [{FAULT_START:g}, {FAULT_END:g}) over {DURATION:g}s")
@@ -177,7 +175,7 @@ def test_chaos_load():
                 f"{during['retries']:>8} {during['stale_served']:>6} "
                 f"{during['latency_p99']:>6.2f}"
             )
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")
 
     smallest = USERS_SWEEP[0]
     strict = curves["servfail"][smallest]

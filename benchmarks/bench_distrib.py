@@ -21,11 +21,10 @@ wall-clock ratio is recorded but only asserted loosely (≤3x), because
 tiny CI workloads amortise nothing.
 """
 
-import json
 import time
 from pathlib import Path
 
-from conftest import host
+from conftest import record
 
 from repro.core import (
     FaultTolerantExecutor,
@@ -51,8 +50,6 @@ SHARDS = 4
 WORKERS = 2
 SEED = 2016
 LEASE_CYCLES = 100
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_distrib.json"
 
 
 def _run(executor):
@@ -132,7 +129,6 @@ def test_distributed_vs_pool(tmp_path):
     )
 
     payload = {
-        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,
@@ -150,8 +146,7 @@ def test_distributed_vs_pool(tmp_path):
         "lease_overhead_fraction": round(lease_overhead, 6),
         "byte_identical": True,
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n",
-                           encoding="utf-8")
+    written = record("distrib", payload)
 
     print()
     print(f"serial       {serial_seconds:.3f}s")
@@ -161,4 +156,4 @@ def test_distributed_vs_pool(tmp_path):
           f"({distributed_seconds / pool_seconds:.2f}x of pool)")
     print(f"lease cycle  {cycle_seconds * 1e3:.2f}ms "
           f"({lease_overhead:.2%} of the distributed sweep)")
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")

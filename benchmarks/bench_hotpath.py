@@ -32,13 +32,11 @@ size, where the constant overheads are properly amortized.
 """
 
 import gc
-import json
 import os
 import statistics
 import time
-from pathlib import Path
 
-from conftest import host
+from conftest import record
 
 from repro import perf
 from repro.core import (
@@ -63,8 +61,6 @@ SEED = 2016
 MIN_RESOLVE_SPEEDUP = 1.5
 MIN_END_TO_END_SPEEDUP = 2.0
 FULL_SIZE = DOMAINS >= 150 and REPS >= 6
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
 def _instrument(stage):
@@ -215,7 +211,6 @@ def test_hotpath_speedup():
             "reps": REPS,
             "seed": SEED,
         },
-        "host": host(),
         "uncached": {
             "total_seconds": round(uncached_total, 4),
             "stages": {k: round(v, 4) for k, v in uncached_stage.items()},
@@ -240,7 +235,7 @@ def test_hotpath_speedup():
         "memo_counters": memo_counters,
         "byte_identical": byte_identical,
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("hotpath", payload)
 
     print()
     print(f"workload: {DOMAINS} domains / {FILLER} filler x {REPS} reps")
@@ -258,7 +253,7 @@ def test_hotpath_speedup():
         f"resolve {resolve_speedup:.2f}x"
     )
     print(f"byte identical: {byte_identical}")
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")
 
     assert resolve_speedup >= MIN_RESOLVE_SPEEDUP, (
         f"resolve-phase speedup {resolve_speedup:.2f}x below "

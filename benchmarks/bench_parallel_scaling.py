@@ -20,12 +20,10 @@ cannot beat the serial arm, and pretending otherwise would make the
 bench flaky exactly where CI containers are smallest.
 """
 
-import json
 import multiprocessing
 import time
-from pathlib import Path
 
-from conftest import host
+from conftest import record
 
 from repro.core import (
     FaultTolerantExecutor,
@@ -47,8 +45,6 @@ SEED = 2016
 WIDTHS = (2, 4)
 MIN_SPEEDUP_AT_4 = 1.5
 MIN_CPUS_FOR_SPEEDUP_ASSERT = 4
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
 def _workload():
@@ -121,7 +117,6 @@ def test_parallel_scaling():
 
     merge_seconds = _merge_seconds(factory, names)
     payload = {
-        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,
@@ -135,7 +130,7 @@ def test_parallel_scaling():
         "merge_fraction_of_serial": round(merge_seconds / serial_seconds, 6),
         "byte_identical": True,
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("parallel", payload)
 
     print()
     print(f"cpus: {cpus}")
@@ -149,7 +144,7 @@ def test_parallel_scaling():
         )
     print(f"merge         {merge_seconds * 1000:.1f}ms "
           f"({merge_seconds / serial_seconds:.2%} of serial)")
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")
 
     # Merge must stay a rounding error next to the resolution work.
     assert merge_seconds < 0.25 * serial_seconds

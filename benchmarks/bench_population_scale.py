@@ -22,13 +22,11 @@ through it immediately.
 """
 
 import dataclasses
-import json
 import os
 import resource
 import sys
-from pathlib import Path
 
-from conftest import host
+from conftest import record
 
 from repro.core import ReplayParams, run_population_replay
 
@@ -40,8 +38,6 @@ RSS_LIMIT_MB = float(os.environ.get("REPRO_BENCH_REPLAY_RSS_MB", "800"))
 DOMAINS = 80
 FILLER = 500
 SEED = 2017
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_population.json"
 
 
 def _peak_rss_mb() -> float:
@@ -110,7 +106,6 @@ def test_population_scale():
 
     peak_rss = _peak_rss_mb()
     payload = {
-        "host": host(),
         "sweep_queries": SWEEP_QUERIES,
         "users_sweep": {str(users): sweep[users] for users in USERS_SWEEP},
         "scale": {
@@ -121,7 +116,7 @@ def test_population_scale():
         "peak_rss_mb": round(peak_rss, 1),
         "rss_limit_mb": RSS_LIMIT_MB,
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("population", payload)
 
     print()
     print(f"{'users':>6} {'leak_rate':>10} {'cache_hit':>10} "
@@ -139,7 +134,7 @@ def test_population_scale():
         f"leak-rate {scale['leak_rate']:.4f}, "
         f"peak RSS {peak_rss:.0f} MB (limit {RSS_LIMIT_MB:.0f} MB)"
     )
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")
 
     # The flat-memory contract: a packet-retention (or arrival-list)
     # regression shows up here as hundreds of MB.

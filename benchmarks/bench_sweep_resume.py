@@ -22,12 +22,11 @@ size and grows with the workload, and a tight bound would make the
 bench flaky on the smallest CI containers.
 """
 
-import json
 import tempfile
 import time
 from pathlib import Path
 
-from conftest import host
+from conftest import record
 from repro.analysis import sharded_leakage_sweep
 from repro.core import (
     ResultStore,
@@ -44,8 +43,6 @@ DOMAINS = 40
 FILLER = 400
 SHARDS = 4
 SEED = 2016
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 
 def _workload():
@@ -148,7 +145,6 @@ def test_store_cold_vs_warm():
         path.stat().st_size for path in Path(root).glob("*/*.cell")
     )
     payload = {
-        "host": host(),
         "workload": {
             "domains": DOMAINS,
             "filler": FILLER,
@@ -170,7 +166,7 @@ def test_store_cold_vs_warm():
         },
         "byte_identical": True,
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("store", payload)
 
     print()
     print(f"plain (no store)  {plain_seconds:.3f}s")
@@ -182,4 +178,4 @@ def test_store_cold_vs_warm():
           f"({2 * SHARDS} cells on 2 workers)")
     print(f"store size        {store_bytes} bytes "
           f"({store_bytes // SHARDS} per cell)")
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")

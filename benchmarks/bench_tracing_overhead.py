@@ -17,11 +17,9 @@ of ``off``.  Results land in ``BENCH_tracing.json`` at the repo root
 so the perf trajectory is tracked across revisions.
 """
 
-import json
 import time
-from pathlib import Path
 
-from conftest import host
+from conftest import record
 
 from repro.core import (
     LeakageExperiment,
@@ -39,8 +37,6 @@ DOMAINS = 150
 FILLER = 1000
 REPEATS = 3
 MAX_DISABLED_OVERHEAD = 0.05
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_tracing.json"
 
 
 def _make_sinks(arm, universe):
@@ -80,19 +76,18 @@ def test_tracing_overhead():
     on_overhead = timings["on"] / timings["off"] - 1.0
     payload = {
         "workload": {"domains": DOMAINS, "filler": FILLER, "repeats": REPEATS},
-        "host": host(),
         "seconds": {arm: round(value, 4) for arm, value in timings.items()},
         "overhead": {
             "noop_vs_off": round(noop_overhead, 4),
             "on_vs_off": round(on_overhead, 4),
         },
     }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    written = record("tracing", payload)
     print()
     print(f"off  {timings['off']:.3f}s")
     print(f"noop {timings['noop']:.3f}s ({noop_overhead:+.1%})")
     print(f"on   {timings['on']:.3f}s ({on_overhead:+.1%})")
-    print(f"written to {RESULT_PATH.name}")
+    print(f"written to {written.name}")
     assert noop_overhead <= MAX_DISABLED_OVERHEAD, (
         f"disabled-tracing overhead {noop_overhead:.1%} exceeds "
         f"{MAX_DISABLED_OVERHEAD:.0%}: the None-guards or null sinks "

@@ -13,14 +13,20 @@ the rows/series so the output can be compared against the publication
 
 from __future__ import annotations
 
+import json
 import os
 import platform
+import sys
+from pathlib import Path
 from typing import List
 
 import pytest
 
 from repro.analysis import leakage_sweep
 from repro.core import DEFAULT_REGISTRY_FILLER_COUNT
+
+#: Where ``BENCH_<name>.json`` records land: the repository root.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _env_sizes() -> List[int]:
@@ -70,3 +76,13 @@ def host() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
+
+
+def record(name: str, payload: dict) -> Path:
+    """Write ``BENCH_<name>.json`` at the repository root: *payload*
+    plus the host it was measured on and the command that ran it.
+    Returns the path written."""
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    document = {"host": host(), "command": " ".join(sys.argv), **payload}
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    return path

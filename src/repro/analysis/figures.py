@@ -19,6 +19,7 @@ from ..workloads import (
     generate_trace,
 )
 from ..core import (
+    ExperimentResult,
     LeakageExperiment,
     Remedy,
     run_remedy,
@@ -45,6 +46,19 @@ class LeakageSweepPoint:
     leaked_domains: int
     proportion: float
     utility: float
+
+    @classmethod
+    def of(cls, size: int, result: ExperimentResult) -> "LeakageSweepPoint":
+        """The point of one independent top-*size* run, such as the
+        merged result of one size of a sharded sweep."""
+        leak = result.leakage
+        return cls(
+            domains=size,
+            dlv_queries=leak.dlv_queries,
+            leaked_domains=leak.leaked_count,
+            proportion=leak.leaked_count / size if size else 0.0,
+            utility=leak.utility_fraction,
+        )
 
 
 def leakage_sweep(
@@ -104,70 +118,40 @@ def sharded_leakage_sweep(
     ``max(parallelism, 1)``, so pin it whenever the worker count
     varies.
 
-    With ``store`` (a :class:`~repro.core.store.ResultStore`) the sweep
-    runs crash-safe through :func:`~repro.core.store.run_stored_cells`:
-    the missing cells of every size run in one executor run and commit
-    where they run, an interrupted sweep resumes from the committed
-    cells, and only missing/corrupt cells re-run.  One
+    Every size's cells (:func:`~repro.core.setup.standard_sweep_cells`)
+    run in one :func:`~repro.core.store.run_stored_cells` call on the
+    fault-tolerant executor, with per-cell ``timeout`` and ``retries``.
+    With ``store`` (a :class:`~repro.core.store.ResultStore`) the
+    sweep is also crash-safe: cells commit where they run, an
+    interrupted sweep resumes from the committed cells, and only
+    missing/corrupt cells re-run.  One
     :class:`~repro.core.store.SweepOutcome` per size, in size order, is
     appended to ``outcomes`` when given; quarantined cells make the
     affected point *partial* (keep-going default) or raise
     (``fail_fast=True``).
     """
-    from ..core import (
-        run_sharded_experiment,
-        run_stored_cells,
-        standard_sweep_cells,
-        standard_universe_factory,
-    )
+    from ..core import run_stored_cells, standard_sweep_cells
 
-    resolver_config = config or correct_bind_config()
-    ordered = sorted(sizes)
-    if store is not None:
-        swept = run_stored_cells(
-            standard_sweep_cells(
-                ordered,
-                filler_count=filler_count,
-                seed=seed,
-                config=resolver_config,
-                shards=shards if shards is not None else max(parallelism, 1),
-            ),
-            store=store,
-            parallelism=parallelism,
-            timeout=timeout,
-            retries=retries,
-            fail_fast=fail_fast,
-        )
-        if outcomes is not None:
-            outcomes.extend(swept)
-        results = [outcome.result for outcome in swept]
-    else:
-        results = [
-            run_sharded_experiment(
-                standard_universe_factory(
-                    size, filler_count=filler_count, workload_seed=seed
-                ),
-                resolver_config,
-                standard_workload(size, seed=seed).names(size),
-                seed=seed,
-                shards=shards,
-                parallelism=parallelism,
-            )
-            for size in ordered
-        ]
-    points: List[LeakageSweepPoint] = []
-    for size, result in zip(ordered, results):
-        leak = result.leakage
-        points.append(
-            LeakageSweepPoint(
-                domains=size,
-                dlv_queries=leak.dlv_queries,
-                leaked_domains=leak.leaked_count,
-                proportion=leak.leaked_count / size if size else 0.0,
-                utility=leak.utility_fraction,
-            )
-        )
-    return points
+    swept = run_stored_cells(
+        standard_sweep_cells(
+            sizes,
+            filler_count=filler_count,
+            seed=seed,
+            config=config,
+            shards=shards if shards is not None else max(parallelism, 1),
+        ),
+        store=store,
+        parallelism=parallelism,
+        timeout=timeout,
+        retries=retries,
+        fail_fast=fail_fast,
+    )
+    if outcomes is not None:
+        outcomes.extend(swept)
+    return [
+        LeakageSweepPoint.of(size, outcome.result)
+        for size, outcome in zip(sorted(sizes), swept)
+    ]
 
 
 def fig8_dlv_queries(points: Sequence[LeakageSweepPoint]) -> Tuple[List[dict], str]:

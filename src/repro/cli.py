@@ -121,7 +121,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print()
     print(fig9_leak_proportion(points)[1])
     quarantined = [cell for outcome in outcomes for cell in outcome.quarantined]
-    if outcomes:
+    if store is not None:
         reused = sum(outcome.cells_reused for outcome in outcomes)
         rerun = sum(outcome.cells_rerun for outcome in outcomes)
         print()
@@ -130,24 +130,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{len(quarantined)} quarantined"
             + (
                 f", {store.stats.corrupt_detected} corrupt detected"
-                if store is not None and store.stats.corrupt_detected
+                if store.stats.corrupt_detected
                 else ""
             )
         )
-    if quarantined:
-        print("quarantined cells (affected points are partial):")
-        for cell in quarantined:
-            print(f"  - {cell.describe()}")
-        return 3
-    return 0
+    return _report_quarantine(quarantined)
+
+
+def _report_quarantine(quarantined) -> int:
+    """List a sweep's quarantined cells after a blank line; the exit
+    code: 3 if any cell was quarantined, else 0."""
+    if not quarantined:
+        return 0
+    print("\nquarantined cells (affected points are partial):")
+    for cell in quarantined:
+        print(f"  - {cell.describe()}")
+    return 3
 
 
 def _run_distributed_sweep(
     args: argparse.Namespace, sizes: List[int], shards: int
 ) -> int:
     """The ``repro sweep --distributed N`` coordinator path."""
-    from .analysis import fig8_dlv_queries, fig9_leak_proportion
-    from .analysis.figures import LeakageSweepPoint
+    from .analysis import (
+        LeakageSweepPoint,
+        fig8_dlv_queries,
+        fig9_leak_proportion,
+    )
     from .core.distrib import run_distributed_sweep
 
     outcome = run_distributed_sweep(
@@ -168,24 +177,13 @@ def _run_distributed_sweep(
         print(f"  worker {worker_id}: exit {code}")
     print()
     points = [
-        LeakageSweepPoint(
-            domains=size,
-            dlv_queries=result.leakage.dlv_queries,
-            leaked_domains=result.leakage.leaked_count,
-            proportion=result.leakage.leaked_count / size if size else 0.0,
-            utility=result.leakage.utility_fraction,
-        )
+        LeakageSweepPoint.of(size, result)
         for size, result in zip(sorted(sizes), outcome.stage_results)
     ]
     print(fig8_dlv_queries(points)[1])
     print()
     print(fig9_leak_proportion(points)[1])
-    if outcome.quarantined:
-        print("\nquarantined cells (affected points are partial):")
-        for cell in outcome.quarantined:
-            print(f"  - {cell.describe()}")
-        return 3
-    return 0
+    return _report_quarantine(outcome.quarantined)
 
 
 def _cmd_work(args: argparse.Namespace) -> int:

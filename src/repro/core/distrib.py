@@ -94,6 +94,7 @@ from .store import (
     StoreError,
     SweepCell,
     SweepJournal,
+    _durable_write,
     current_code_version,
     fingerprint_digest,
 )
@@ -185,14 +186,6 @@ def read_lease(path: Path) -> Optional[Lease]:
         return None
 
 
-def _temp_path(path: Path) -> Path:
-    """A private temp name beside *path*, unique per process and call,
-    so threads writing the same lease never share one."""
-    return path.with_suffix(
-        path.suffix + f".tmp.{os.getpid()}.{next(_NONCE_COUNTER)}"
-    )
-
-
 @contextlib.contextmanager
 def _lease_lock(path: Path) -> Iterator[None]:
     """Hold an exclusive ``flock`` on the lease's directory.
@@ -209,44 +202,6 @@ def _lease_lock(path: Path) -> Iterator[None]:
         yield
     finally:
         os.close(descriptor)
-
-
-def _write_lease_excl(path: Path, lease: Lease) -> bool:
-    """Create *path* exclusively — the claim arbitration.  Returns
-    False when somebody else's lease already exists.
-
-    The content is written to a private temp file first and linked
-    into place (``os.link`` fails with ``EEXIST`` exactly like
-    ``O_EXCL``), so a concurrent reader can never observe a claim
-    file mid-write — an empty just-created lease would read as
-    "corrupt" and invite an immediate bogus takeover.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = _temp_path(path)
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(lease.to_json())
-        handle.flush()
-        os.fsync(handle.fileno())
-    try:
-        os.link(temp, path)
-        return True
-    except FileExistsError:
-        return False
-    finally:
-        os.unlink(temp)
-
-
-def _rewrite_lease(path: Path, lease: Lease) -> None:
-    """Atomically replace *path* (heartbeat refresh, takeover):
-    same-directory temp file, fsync, ``os.replace``.  A crash leaves
-    the old lease or the new one, never an empty path."""
-    temp = _temp_path(path)
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(lease.to_json())
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
 
 
 @dataclasses.dataclass
@@ -288,7 +243,10 @@ def claim_cell(
         acquired=now,
         heartbeat=now,
     )
-    if _write_lease_excl(path, fresh):
+    # The exclusive write is the claim arbitration.  It links the lease
+    # into place whole, so no peer finds a fresh claim empty, which
+    # would read as corrupt and invite an immediate bogus takeover.
+    if _durable_write(path, fresh.to_json().encode("utf-8"), exclusive=True):
         return ClaimResult(fresh, "fresh")
     try:
         current = read_lease(path)
@@ -314,7 +272,7 @@ def claim_cell(
             acquired=clock(),
             heartbeat=clock(),
         )
-        _rewrite_lease(path, taken)
+        _durable_write(path, taken.to_json().encode("utf-8"))
     return ClaimResult(taken, "takeover" if current is not None else "corrupt")
 
 
@@ -334,7 +292,7 @@ def renew_lease(
             if current is None or not lease.same_claim(current):
                 raise Fenced(f"lease for {lease.cell} was taken over")
             renewed = dataclasses.replace(lease, heartbeat=clock())
-            _rewrite_lease(path, renewed)
+            _durable_write(Path(path), renewed.to_json().encode("utf-8"))
     except FileNotFoundError:
         raise Fenced(f"lease for {lease.cell} disappeared")
     return renewed
@@ -424,15 +382,6 @@ class DistribStats:
     skipped_done: int = 0
     quarantined: int = 0
 
-    def merge(self, other: "DistribStats") -> "DistribStats":
-        return DistribStats(
-            **{
-                field.name: getattr(self, field.name)
-                + getattr(other, field.name)
-                for field in dataclasses.fields(self)
-            }
-        )
-
     def emit(self, metrics, prefix: str = "distrib") -> None:
         if metrics is None:
             return
@@ -490,21 +439,11 @@ class WorkerReport:
 def _write_marker(path: Path, payload: Dict[str, Any]) -> bool:
     """Atomically create a quarantine marker; first writer wins.
     Returns False when a marker already exists."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    try:
-        os.link(temp, path)
-        created = True
-    except FileExistsError:
-        created = False
-    finally:
-        os.unlink(temp)
-    return created
+    return _durable_write(
+        Path(path),
+        json.dumps(payload, sort_keys=True).encode("utf-8"),
+        exclusive=True,
+    )
 
 
 def read_marker(path: Path) -> Optional[Dict[str, Any]]:
@@ -870,12 +809,7 @@ def write_sweep_manifest(store: ResultStore, manifest: SweepManifest) -> Path:
         raise StoreError(
             f"store {store.root} already holds a different sweep manifest"
         )
-    temp = path.with_suffix(path.suffix + f".tmp.{os.getpid()}")
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    _durable_write(path, text.encode("utf-8"))
     return path
 
 

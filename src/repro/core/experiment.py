@@ -81,17 +81,9 @@ class LeakageExperiment:
         dnssec_ok_stub: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        universe_factory: Optional[Callable[[int], Universe]] = None,
-        seed: Optional[int] = None,
     ):
         self.universe = universe
         self.config = config
-        #: Rebuilds a fresh universe from a sub-seed — required only for
-        #: sharded runs (``run(..., parallelism=N)``), where every shard
-        #: gets its own world (see :mod:`repro.core.parallel`).
-        self.universe_factory = universe_factory
-        #: Base seed for shard sub-seed derivation.
-        self.seed = seed if seed is not None else universe.params.seed
         if tracer is not None or metrics is not None:
             universe.attach_telemetry(tracer=tracer, metrics=metrics)
         #: Telemetry sinks this run drains/snapshots — whatever is
@@ -108,44 +100,17 @@ class LeakageExperiment:
         self._ptr_fraction = ptr_fraction
         self._dnssec_ok_stub = dnssec_ok_stub
 
-    def run(
-        self,
-        names: Sequence[Name],
-        parallelism: int = 1,
-        shards: Optional[int] = None,
-    ) -> ExperimentResult:
-        """Query every name (type A, plus a deterministic PTR fraction),
-        then classify the capture.
+    def run(self, names: Sequence[Name]) -> ExperimentResult:
+        """Query every name (type A, plus a deterministic PTR fraction)
+        on this experiment's universe, then classify the capture.
 
-        With ``parallelism > 1`` (or an explicit ``shards``) the
-        workload is split into deterministic shards and fanned out by
-        :func:`~repro.core.parallel.run_sharded_experiment`;
-        this requires a ``universe_factory`` (each shard runs in a
-        fresh universe built from a derived sub-seed).  Pin ``shards``
-        while varying ``parallelism`` to get byte-identical merged
-        output across worker counts — the shard plan, not the pool,
-        defines the result.
+        One resolver walks the names in order.  A sharded run, where
+        every shard is a fresh universe from a derived sub-seed, is a
+        sweep of independent cells:
+        :func:`~repro.core.store.run_stored_cells` runs those, and
+        :func:`~repro.core.parallel.run_sharded_experiment` is their
+        executor-explicit reference.
         """
-        if parallelism > 1 or shards is not None:
-            if self.universe_factory is None:
-                raise ValueError(
-                    "sharded run requires a universe_factory: construct "
-                    "LeakageExperiment(..., universe_factory=...) or use "
-                    "repro.core.standard_experiment()"
-                )
-            from .parallel import run_sharded_experiment
-
-            return run_sharded_experiment(
-                self.universe_factory,
-                self.config,
-                names,
-                seed=self.seed,
-                shards=shards,
-                parallelism=parallelism,
-                ptr_fraction=self._ptr_fraction,
-                dnssec_ok_stub=self._dnssec_ok_stub,
-                trace=self.tracer is not None,
-            )
         capture = self.universe.capture
         start_index = len(capture)
         start_time = self.universe.clock.now

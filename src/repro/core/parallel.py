@@ -20,6 +20,11 @@ contract:
   ``tests/core/test_parallel_equivalence.py``).  The third way to run
   cells, the lease workers of :mod:`repro.core.distrib`, drains a
   shared :class:`~repro.core.store.ResultStore` instead of a task list;
+* every sharded sweep, stored or not, runs its cells through one
+  engine, :func:`~repro.core.store.run_stored_cells` on the
+  fault-tolerant executor; :func:`run_sharded_experiment` runs one
+  shard plan on the executor it is given and is the reference those
+  sweeps are compared against;
 * :func:`merge_shard_results` re-sorts shard results by their stable
   shard index and folds them with the monoid merges below, renumbering
   trace ids so the exported trace JSONL is byte-identical no matter
@@ -750,16 +755,6 @@ class ExecutorHealth:
         metrics.inc(f"{prefix}.timeouts", self.timeouts)
         metrics.inc(f"{prefix}.quarantined", self.quarantined)
 
-    def merge(self, other: "ExecutorHealth") -> "ExecutorHealth":
-        return ExecutorHealth(
-            cells_ok=self.cells_ok + other.cells_ok,
-            retries=self.retries + other.retries,
-            worker_lost=self.worker_lost + other.worker_lost,
-            worker_restarts=self.worker_restarts + other.worker_restarts,
-            timeouts=self.timeouts + other.timeouts,
-            quarantined=self.quarantined + other.quarantined,
-        )
-
     def describe(self) -> str:
         return (
             f"ok={self.cells_ok} retries={self.retries} "
@@ -902,9 +897,8 @@ class FaultTolerantExecutor:
     separate process can provide).
 
     ``FaultTolerantExecutor(workers=n, retries=0, keep_going=False)``
-    is the plain fail-fast pool :func:`resolve_executor` builds for
-    ``parallelism > 1``: the first failing cell raises its typed
-    failure.
+    is the plain fail-fast pool: the first failing cell raises its
+    typed failure.
 
     Failure handling:
 
@@ -956,7 +950,6 @@ class FaultTolerantExecutor:
         self.isolate = isolate
         self.poll_interval = poll_interval
         self._sleep = sleep
-        self.health = ExecutorHealth()
 
     @staticmethod
     def fork_available() -> bool:
@@ -999,7 +992,6 @@ class FaultTolerantExecutor:
         typed failure instead of being quarantined.
         """
         health = ExecutorHealth()
-        self.health = health
         results: List[Optional[T]] = [None] * len(tasks)
         quarantined: List[QuarantinedCell] = []
         if not tasks:
@@ -1194,31 +1186,6 @@ class FaultTolerantExecutor:
             process.join(timeout=5.0)
 
 
-def resolve_executor(parallelism: int, executor=None):
-    """The executor for a requested worker count: an explicit executor
-    wins; otherwise ``parallelism > 1`` gets a fail-fast fork pool
-    (:class:`FaultTolerantExecutor` without retries, which runs
-    in-process for one task or without ``fork``) and anything else the
-    in-process fallback."""
-    if executor is not None:
-        return executor
-    if parallelism > 1:
-        return FaultTolerantExecutor(
-            workers=parallelism, retries=0, keep_going=False
-        )
-    return SerialExecutor()
-
-
-def run_tasks(
-    tasks: Sequence[Callable[[], T]],
-    parallelism: int = 1,
-    executor=None,
-) -> List[T]:
-    """Fan *tasks* out on the chosen executor, preserving input order
-    in the returned list (the pool maps by index)."""
-    return resolve_executor(parallelism, executor).run(tasks)
-
-
 def run_tasks_fault_tolerant(
     tasks: Sequence[Callable[[], T]],
     parallelism: int = 1,
@@ -1230,10 +1197,10 @@ def run_tasks_fault_tolerant(
 ) -> Tuple[List[Optional[T]], List[QuarantinedCell], ExecutorHealth]:
     """Fan *tasks* out with failure containment.
 
-    The fault-tolerant analogue of :func:`run_tasks`: runs *tasks* on a
-    :class:`FaultTolerantExecutor` of ``parallelism`` workers and
-    returns an index-aligned result list (``None`` where a cell was
-    quarantined), the quarantine record, and the run's health counters.
+    Runs *tasks* on a :class:`FaultTolerantExecutor` of
+    ``parallelism`` workers and returns an index-aligned result list
+    (``None`` where a cell was quarantined), the quarantine record, and
+    the run's health counters.
     """
     executor = FaultTolerantExecutor(
         workers=max(parallelism, 1),
@@ -1281,22 +1248,23 @@ def run_sharded_experiment(
     config: ResolverConfig,
     names: Sequence[Name],
     seed: int = 0,
-    shards: Optional[int] = None,
-    parallelism: int = 1,
+    shards: int = 1,
     executor=None,
     ptr_fraction: float = 0.01,
     dnssec_ok_stub: bool = True,
     trace: bool = False,
 ) -> ExperimentResult:
-    """Shard *names*, fan the shards out, merge deterministically.
+    """Shard *names*, run the shards on *executor*, merge
+    deterministically: the executor-explicit reference for a sharded
+    run.
 
-    ``shards`` defaults to ``max(parallelism, 1)``; fixing it while
-    varying ``parallelism``/``executor`` keeps the merged output
-    byte-identical across worker counts (the shard plan, not the pool,
-    defines the result).
+    Every sharded sweep runs on
+    :func:`~repro.core.store.run_stored_cells`; the goldens, the
+    equivalence tests, the benches and the smoke tools compare it with
+    this function.  *executor* defaults to :class:`SerialExecutor`; any
+    executor gives the same bytes for the same shard plan.
     """
-    shard_count = shards if shards is not None else max(parallelism, 1)
-    plan = plan_shards(names, shard_count, seed)
+    plan = plan_shards(names, shards, seed)
     tasks = [
         _ShardTask(
             factory=factory,
@@ -1308,7 +1276,7 @@ def run_sharded_experiment(
         )
         for spec in plan
     ]
-    results = run_tasks(tasks, parallelism=parallelism, executor=executor)
+    results = (executor or SerialExecutor()).run(tasks)
     return merge_shard_results(
         (spec.index, result) for spec, result in zip(plan, results)
     )

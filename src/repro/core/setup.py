@@ -118,26 +118,14 @@ def standard_experiment(
     seed: int = 2016,
     **universe_overrides,
 ) -> LeakageExperiment:
-    """Workload + universe + experiment in one call.
-
-    The returned experiment carries a universe factory, so
-    ``.run(names, parallelism=N)`` shards out of the box.
-    """
+    """Workload + universe + experiment in one call: one resolver over
+    the calibrated world for the top *domain_count* names.  Sharded
+    runs plan their cells with :func:`standard_sweep_cells` instead."""
     workload = standard_workload(domain_count, seed=seed)
     universe = standard_universe(
         workload, filler_count=filler_count, **universe_overrides
     )
-    return LeakageExperiment(
-        universe,
-        config or correct_bind_config(),
-        universe_factory=standard_universe_factory(
-            domain_count,
-            filler_count=filler_count,
-            workload_seed=seed,
-            **universe_overrides,
-        ),
-        seed=seed,
-    )
+    return LeakageExperiment(universe, config or correct_bind_config())
 
 
 def standard_sweep_cells(
@@ -154,8 +142,10 @@ def standard_sweep_cells(
     :func:`~repro.core.store.plan_cells` (``ptr_fraction``, ``trace``,
     ``kind``, ``code_version``, ...).
 
-    The local stored sweep and the lease workers' manifest both plan
-    here, so they address the same cells.
+    Every local sharded sweep, with or without a store, runs these
+    cells on :func:`~repro.core.store.run_stored_cells`, and the lease
+    workers' manifest plans here too, so every path addresses the same
+    cells.
     """
     resolver_config = config or correct_bind_config()
     cells: List[SweepCell] = []

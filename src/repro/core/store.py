@@ -24,8 +24,10 @@ now small, but aggregate cost is not — and a sweep that dies at cell
   final line after a crash;
 * :func:`run_stored_cells` (and :func:`run_stored_sweep`, its
   one-size call) stitches it together with the fault-tolerant executor
-  from :mod:`repro.core.parallel`: every size of a sweep runs in one
-  executor run, and each cell **commits where it runs** — the worker
+  from :mod:`repro.core.parallel`.  It is the one engine every sharded
+  sweep runs on, with or without a store: every size of a sweep runs
+  in one executor run with per-cell timeouts, retries and quarantine.
+  With a store, each cell **commits where it runs** — the worker
   pickles its result once, writes the verified envelope and hands the
   payload bytes back, while the coordinator alone journals and counts
   commits (so SIGTERM mid-sweep keeps every finished cell).  A resumed
@@ -57,6 +59,7 @@ import enum
 import fcntl
 import functools
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -98,6 +101,41 @@ GC_LEASE_GRACE_SECONDS = 3600.0
 
 class StoreError(Exception):
     """A store operation failed (not a corruption — those are handled)."""
+
+
+_TEMP_SERIAL = itertools.count(1)
+
+
+def _durable_write(path: Path, data: bytes, exclusive: bool = False) -> bool:
+    """Land *data* at *path* whole or not at all.
+
+    The bytes go to a private temp file beside *path* (named
+    ``*.tmp.<pid>.<serial>``, unique per call, which ``gc`` reclaims
+    after a crash), are flushed and fsynced, and then take *path*'s
+    place in one step: ``os.replace`` (a reader sees the old file or
+    the new one, never an empty or torn one), or with ``exclusive``
+    ``os.link``, which fails with ``EEXIST`` like ``O_EXCL`` does, so
+    exactly one of several racing writers creates the file and no
+    reader sees it mid-write.  Returns False only when an exclusive
+    write found *path* already there.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    serial = next(_TEMP_SERIAL)
+    temp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{serial}")
+    with open(temp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if not exclusive:
+        os.replace(temp, path)
+        return True
+    try:
+        os.link(temp, path)
+        return True
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(temp)
 
 
 # ----------------------------------------------------------------------
@@ -503,17 +541,10 @@ class ResultStore:
             "fingerprint_sha256": fingerprint_digest(result),
             "payload_b64": base64.b64encode(payload).decode("ascii"),
         }
-        destination = self.path_for(key.digest())
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        temp = destination.with_suffix(
-            destination.suffix + f".tmp.{os.getpid()}"
+        _durable_write(
+            self.path_for(key.digest()),
+            json.dumps(envelope, sort_keys=True).encode("utf-8"),
         )
-        data = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, destination)
         return payload
 
     # -- read -------------------------------------------------------------
@@ -867,14 +898,17 @@ def run_stored_cells(
     """Load, run and merge planned cells, every stage in one executor
     run; returns one :class:`SweepOutcome` per stage, in stage order.
 
-    Each cell's key is checked against *store* first.  The missing (or
-    corrupt) cells of every stage then run together on the
-    fault-tolerant executor, with per-cell ``timeout``, ``retries`` on a
-    deterministic backoff, and worker-loss detection.  A cell commits
-    where it runs: its task writes the verified envelope and hands the
-    payload bytes back.  The coordinator journals and counts each
-    commit as it arrives (``abort_after_commits`` fires there),
-    unpickles the result once and merges each stage in shard order.
+    This is the engine of every sharded sweep.  Without a *store*
+    every cell runs and none is committed; the executor semantics are
+    the same.  With one, each cell's key is checked against *store*
+    first.  The missing (or corrupt) cells of every stage then run
+    together on the fault-tolerant executor, with per-cell
+    ``timeout``, ``retries`` on a deterministic backoff, and
+    worker-loss detection.  A cell commits where it runs: its task
+    writes the verified envelope and hands the payload bytes back.
+    The coordinator journals and counts each commit as it arrives
+    (``abort_after_commits`` fires there), unpickles the result once
+    and merges each stage in shard order.
     Every stage's outcome carries the one run's
     :class:`~repro.core.parallel.ExecutorHealth`.
     """

@@ -19,8 +19,11 @@ walk builds one universe for the largest size.
 
 from typing import List
 
+import pytest
+
 from repro import perf
 from repro.cli import main
+from repro.core import CellTimeout
 
 SWEEP = ["sweep", "--sizes", "60,200", "--filler", "300"]
 
@@ -64,3 +67,26 @@ def test_stored_sweep_defaults_to_one_shard(capsys, tmp_path):
         ("--store", str(tmp_path / "distributed"), "--distributed", "2"),
     ):
         assert _figures(capsys, *knobs) == stored, knobs
+
+
+def test_storeless_sweep_honours_the_failure_knobs(capsys):
+    """A sharded sweep without a store runs on the same cell engine as
+    a stored one: a cell past its budget is quarantined (exit 3, every
+    cell listed), and with ``--fail-fast`` its typed failure raises."""
+    knobs = [
+        "sweep", "--shards", "2", "--sizes", "8,16", "--filler", "100",
+        "--parallelism", "2", "--timeout", "0.001", "--retries", "0",
+    ]
+    # Cold caches keep every cell (~0.15 s) far past the pool's first
+    # deadline check, one 0.02 s poll in; on memos warmed by earlier
+    # tests a cell takes 8-19 ms, too close to it.
+    with perf.caches_disabled():
+        assert main(knobs) == 3
+        out = capsys.readouterr().out
+        with pytest.raises(CellTimeout):
+            main([*knobs, "--fail-fast"])
+    assert "store:" not in out
+    assert "\n\nquarantined cells (affected points are partial):\n" in out
+    listed = [line for line in out.splitlines() if line.startswith("  - ")]
+    assert len(listed) == 4
+    assert all("timeout after 1 attempt(s)" in line for line in listed)

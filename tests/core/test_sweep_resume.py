@@ -18,6 +18,7 @@ import pytest
 from repro.analysis import sharded_leakage_sweep
 from repro.core import (
     FaultInjection,
+    FaultTolerantExecutor,
     ResultStore,
     SerialExecutor,
     SweepJournal,
@@ -312,6 +313,45 @@ def test_two_size_pooled_sweep_runs_once_and_resumes(tmp_path):
     for child_process in multiprocessing.active_children():
         child_process.join(timeout=5)
     assert multiprocessing.active_children() == []
+
+
+def test_storeless_sweep_runs_every_size_in_one_fan_out(
+    tmp_path, monkeypatch
+):
+    """Without a store, a two-size sweep runs on the same engine as a
+    stored one: both sizes' four cells in one executor run, one outcome
+    per size, and the points a fresh store's sweep gives."""
+    seed = SEEDS[0]
+    sizes = (12, 30)
+    runs = []
+    original = FaultTolerantExecutor.run_with_quarantine
+
+    def counted(self, tasks, on_result=None):
+        runs.append(len(tasks))
+        return original(self, tasks, on_result=on_result)
+
+    monkeypatch.setattr(FaultTolerantExecutor, "run_with_quarantine", counted)
+    outcomes = []
+    points = sharded_leakage_sweep(
+        sizes=sizes,
+        seed=seed,
+        filler_count=FILLER,
+        shards=2,
+        parallelism=2,
+        outcomes=outcomes,
+    )
+    assert runs == [4]
+    assert [outcome.cells_rerun for outcome in outcomes] == [2, 2]
+    assert all(outcome.store_stats is None for outcome in outcomes)
+    stored = sharded_leakage_sweep(
+        sizes=sizes,
+        seed=seed,
+        filler_count=FILLER,
+        shards=2,
+        parallelism=2,
+        store=ResultStore(tmp_path / "store"),
+    )
+    assert points == stored
 
 
 POOLED_CHILD_SCRIPT = textwrap.dedent(
