@@ -41,11 +41,15 @@ from .render import format_series, format_table, percent
 
 @dataclasses.dataclass
 class LeakageSweepPoint:
+    """One size of the Figs 8/9 sweep.  Every value but ``domains`` is
+    ``None`` when no cell of the size was measured, and Figs 8/9 then
+    print ``missing``."""
+
     domains: int
-    dlv_queries: int
-    leaked_domains: int
-    proportion: float
-    utility: float
+    dlv_queries: Optional[int]
+    leaked_domains: Optional[int]
+    proportion: Optional[float]
+    utility: Optional[float]
 
     @classmethod
     def of(cls, size: int, result: ExperimentResult) -> "LeakageSweepPoint":

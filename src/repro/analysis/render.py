@@ -32,14 +32,21 @@ def format_series(
     title: str = "",
     width: int = 40,
 ) -> str:
-    """Render an (x, y) series with a proportional ASCII bar per row."""
-    numeric = [float(point[1]) for point in points]
-    peak = max(numeric) if numeric else 1.0
+    """Render an (x, y) series with a proportional ASCII bar per row;
+    a ``None`` y was not measured and prints as ``missing``."""
+    numeric = [
+        None if point[1] is None else float(point[1]) for point in points
+    ]
+    measured = [value for value in numeric if value is not None]
+    peak = max(measured) if measured else 1.0
     lines = []
     if title:
         lines.append(title)
     lines.append(f"{x_label:>12} | {y_label}")
     for point, value in zip(points, numeric):
+        if value is None:
+            lines.append(f"{str(point[0]):>12} | {'missing':>14}")
+            continue
         bar = "#" * int(round(width * value / peak)) if peak > 0 else ""
         lines.append(f"{str(point[0]):>12} | {value:>14,.4g} {bar}")
     return "\n".join(lines)

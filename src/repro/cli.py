@@ -66,6 +66,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
     from .analysis import (
+        LeakageSweepPoint,
         fig8_dlv_queries,
         fig9_leak_proportion,
         leakage_sweep,
@@ -109,6 +110,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             outcomes=outcomes,
         )
+        # A size whose every cell was quarantined was not measured: its
+        # merge is the empty result, which would plot as 0.
+        points = [
+            point
+            if outcome.cells_reused + outcome.cells_rerun
+            else LeakageSweepPoint(point.domains, None, None, None, None)
+            for point, outcome in zip(points, outcomes)
+        ]
         print(
             f"sharded sweep: {shards} shard(s), "
             f"{args.parallelism} worker(s)"
@@ -685,6 +694,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             collector_s += time.perf_counter() - started.pop()
 
     profiler = cProfile.Profile()
+    gc.collect()  # so that the count after the cell is the cell's own
     gc.callbacks.append(watch_collector)
     try:
         profiler.enable()
@@ -692,10 +702,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         universe = standard_universe(workload, filler_count=args.filler)
         setup_collections, setup_collector_s = list(collections), collector_s
         experiment = LeakageExperiment(universe, correct_bind_config())
-        experiment.run(workload.names(args.domains))
+        result = experiment.run(workload.names(args.domains))
         profiler.disable()
     finally:
         gc.callbacks.remove(watch_collector)
+    # A dropped world should free itself by reference counting; what a
+    # collection still finds is cyclic garbage the cell left behind.
+    del universe, experiment, result
+    unreachable = gc.collect()
     if args.output:
         profiler.dump_stats(args.output)
         print(f"profile written to {args.output} (inspect with pstats/snakeviz)")
@@ -716,6 +730,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f"Garbage collector{label}: {gen0} gen0, {gen1} gen1, {gen2} gen2 "
             f"collections in {seconds:.3f} s"
         )
+    print(
+        f"Garbage collector after dropping the cell: {unreachable} "
+        f"unreachable objects"
+    )
     return 0
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from .. import perf
 from ..dnscore import Name, RCode, RRType
 from ..netsim import AdversaryPersona
 from ..resolver import RecursiveResolver, ResolverConfig, ValidationStatus
@@ -110,50 +111,56 @@ class LeakageExperiment:
         :func:`~repro.core.store.run_stored_cells` runs those, and
         :func:`~repro.core.parallel.run_sharded_experiment` is their
         executor-explicit reference.
+
+        The walk runs with the cyclic collector paused: it makes no
+        cyclic garbage, and a world dropped afterwards is freed by
+        reference counting where it is dropped.
         """
-        capture = self.universe.capture
-        start_index = len(capture)
-        start_time = self.universe.clock.now
-        start_bytes = capture.total_bytes()
-        rcode_counts: Dict[str, int] = {}
-        authenticated = 0
-        for name in names:
-            response = self.stub.query(
-                name, RRType.A, dnssec_ok=self._dnssec_ok_stub
+        with perf.collector_paused():
+            capture = self.universe.capture
+            start_index = len(capture)
+            start_time = self.universe.clock.now
+            rcode_counts: Dict[str, int] = {}
+            authenticated = 0
+            for name in names:
+                response = self.stub.query(
+                    name, RRType.A, dnssec_ok=self._dnssec_ok_stub
+                )
+                rcode_counts[response.rcode.name] = (
+                    rcode_counts.get(response.rcode.name, 0) + 1
+                )
+                if response.flags.ad:
+                    authenticated += 1
+                if self._wants_ptr(name):
+                    reverse = self._reverse_name(name)
+                    if reverse is not None:
+                        self.stub.query(reverse, RRType.PTR, dnssec_ok=False)
+            # Slice the capture to this run's packets.
+            run_records = list(capture)[start_index:]
+            run_capture = _CaptureSlice(run_records)
+            leakage = self.classifier.report(run_capture, list(names))
+            overhead = OverheadMetrics.from_capture(
+                run_capture,
+                response_time=self.universe.clock.now - start_time,
             )
-            rcode_counts[response.rcode.name] = (
-                rcode_counts.get(response.rcode.name, 0) + 1
+            status_counts = self._status_histogram(names)
+            traces = (
+                tuple(self.tracer.drain()) if self.tracer is not None else ()
             )
-            if response.flags.ad:
-                authenticated += 1
-            if self._wants_ptr(name):
-                reverse = self._reverse_name(name)
-                if reverse is not None:
-                    self.stub.query(reverse, RRType.PTR, dnssec_ok=False)
-        # Slice the capture to this run's packets.
-        run_records = list(capture)[start_index:]
-        run_capture = _CaptureSlice(run_records)
-        leakage = self.classifier.report(run_capture, list(names))
-        overhead = OverheadMetrics.from_capture(
-            run_capture,
-            response_time=self.universe.clock.now - start_time,
-        )
-        status_counts = self._status_histogram(names)
-        traces = tuple(self.tracer.drain()) if self.tracer is not None else ()
-        metrics_snapshot = (
-            self.metrics.snapshot() if self.metrics is not None else None
-        )
-        return ExperimentResult(
-            names=list(names),
-            leakage=leakage,
-            overhead=overhead,
-            status_counts=status_counts,
-            rcode_counts=rcode_counts,
-            authenticated_answers=authenticated,
-            capture=run_capture,
-            traces=traces,
-            metrics=metrics_snapshot,
-        )
+            metrics_snapshot = (
+                self.metrics.snapshot() if self.metrics is not None else None
+            )
+            return ExperimentResult(
+                names=list(names),
+                leakage=leakage,
+                overhead=overhead,
+                status_counts=status_counts,
+                rcode_counts=rcode_counts,
+                authenticated_answers=authenticated,
+                capture=run_capture,
+                traces=traces,
+                metrics=metrics_snapshot,
+            )
 
     # ------------------------------------------------------------------
     # PTR side traffic (small, deterministic — see Table 4's PTR column)

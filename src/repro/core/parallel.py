@@ -617,9 +617,11 @@ def task_context(task: Any, index: int = -1) -> str:
 
     Recognises the shapes this repository fans out: an explicit
     ``cell_context`` attribute wins (the matrix drivers set one); a
-    :class:`_ShardTask` describes its shard and config; anything else
-    falls back to its name.  The index is always included so a failure
-    can be mapped back to its position in the task list.
+    :class:`_ShardTask` describes its shard, its name count (which
+    tells the cells of one shard index in a multi-size sweep apart),
+    its sub-seed and its config; anything else falls back to its name.
+    The index is always included so a failure can be mapped back to
+    its position in the task list.
     """
     prefix = f"cell {index}" if index >= 0 else "cell"
     explicit = getattr(task, "cell_context", None)
@@ -628,7 +630,11 @@ def task_context(task: Any, index: int = -1) -> str:
     spec = getattr(task, "spec", None)
     config = getattr(task, "config", None)
     if spec is not None:
-        parts = [f"shard={spec.index}", f"seed={spec.seed}"]
+        parts = [f"shard={spec.index}"]
+        names = getattr(spec, "names", None)
+        if names is not None:
+            parts.append(f"names={len(names)}")
+        parts.append(f"seed={spec.seed}")
         if config is not None and hasattr(config, "describe"):
             parts.append(f"config='{config.describe()}'")
         return f"{prefix} [{' '.join(parts)}]"

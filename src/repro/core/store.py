@@ -989,9 +989,11 @@ def run_stored_cells(
     outcomes: List[SweepOutcome] = []
     for positions in stages:
         stage_lost = [lost[p] for p in positions if p in lost]
+        size = sum(len(cells[p].task.spec.names) for p in positions)
         for cell in stage_lost:
             note(
                 "quarantine",
+                size=size,
                 shard=cell.index,
                 error=cell.error,
                 attempts=cell.attempts,

@@ -200,13 +200,15 @@ class Name:
         """Yield self, then each ancestor up to and including the root."""
         chain = self._ancestors
         if chain is None:
+            # Only the proper ancestors: a name in its own cache would be
+            # a reference cycle, which only the cyclic collector frees.
             chain = tuple(
                 Name(self._labels[start:])
-                for start in range(len(self._labels) + 1)
+                for start in range(1, len(self._labels) + 1)
             )
             if perf.ENABLED:
                 self._ancestors = chain
-        return iter(chain)
+        return iter((self,) + chain)
 
     def common_ancestor(self, other: "Name") -> "Name":
         """Deepest name that is an ancestor of both self and other."""

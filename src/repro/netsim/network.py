@@ -9,7 +9,8 @@ one sampled round-trip time, and records both packets in the capture.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+import weakref
+from typing import Dict, Optional, Protocol, Union
 
 from ..dnscore import Message, decode_message, encode_message
 from .capture import Capture, PacketRecord
@@ -62,7 +63,7 @@ class Network:
         self.metrics = metrics
         self.latency = latency or LatencyModel()
         self.capture = capture or Capture()
-        self._servers: Dict[str, DnsServer] = {}
+        self._servers: Dict[str, Union[DnsServer, weakref.ref]] = {}
         #: When set, every message is decoded back from its wire form and
         #: the decoded message is what gets delivered — a continuous codec
         #: self-check.  Off by default for speed.
@@ -89,7 +90,14 @@ class Network:
     # Topology
     # ------------------------------------------------------------------
 
-    def register(self, address: str, server: DnsServer) -> None:
+    def register(
+        self, address: str, server: Union[DnsServer, weakref.ref]
+    ) -> None:
+        """Put *server* at *address*.  A weak reference to a server
+        routes to it without owning it: a server that holds this
+        network (a resolver) stays out of a reference cycle with it,
+        and its address answers for as long as something else holds
+        the server."""
         if address in self._servers:
             raise ValueError(f"address {address} already registered")
         self._servers[address] = server
@@ -97,17 +105,17 @@ class Network:
     def replace(self, address: str, server: DnsServer) -> DnsServer:
         """Swap the server behind an address (e.g. to interpose an
         attacker proxy or simulate an outage).  Returns the old server."""
-        if address not in self._servers:
-            raise NetworkError(f"no server at {address}")
-        old = self._servers[address]
+        old = self.server_at(address)
         self._servers[address] = server
         return old
 
     def server_at(self, address: str) -> DnsServer:
-        try:
-            return self._servers[address]
-        except KeyError as exc:
-            raise NetworkError(f"no server at {address}") from exc
+        server = self._servers.get(address)
+        if type(server) is weakref.ref:
+            server = server()
+        if server is None:
+            raise NetworkError(f"no server at {address}")
+        return server
 
     def addresses(self):
         return tuple(self._servers)

@@ -18,8 +18,8 @@ on :data:`ENABLED`, so disabling the switch makes stale entries
 unreachable without having to find them.
 
 :class:`collector_paused` is apart from that switch: it keeps CPython's
-cyclic garbage collector off while a block builds or loads a large,
-long-lived object graph that cannot be garbage.
+cyclic garbage collector off while a block builds, loads or walks a
+large object graph that leaves no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -97,16 +97,17 @@ def caches_disabled():
 class collector_paused:
     """Run the block with the cyclic garbage collector off, if it is on.
 
-    A world build or a cell load allocates tens of thousands of
-    long-lived objects, and every few hundred of them start a
-    collection that walks the young ones again although none can be
-    garbage yet; paused, the collector sees them once, when it next
-    runs.  Pause only such builds and loads, never a walk or a replay,
-    which can make cyclic garbage.  The collector is back on when the
-    block exits, also by an exception; inside a paused block, or when
-    the caller turned the collector off, this does nothing.  Leaving
-    the block allocates nothing, so the one pass over what it built
-    starts at the caller's next allocation.
+    A world build, a cell load or a walk allocates tens of thousands
+    of objects, and every few hundred of them start a collection that
+    walks the young ones again although none is cyclic garbage;
+    paused, the collector sees them once, when it next runs.  Pause
+    only a block that a test shows leaves no cyclic garbage: garbage
+    that only the collector frees would outlive the block and cost a
+    full collection later.  The collector is back on when the block
+    exits, also by an exception; inside a paused block, or when the
+    caller turned the collector off, this does nothing.  Leaving the
+    block allocates nothing, so the one pass over what it built starts
+    at the caller's next allocation.
     """
 
     __slots__ = ("_paused",)

@@ -282,90 +282,99 @@ class IterativeEngine:
         tracer = self._tracer
         metrics = self._metrics
         last_error: Optional[Exception] = None
-        for attempt in range(attempts):
-            if not self._budget.charge_send():
-                self.counters.send_budget_exhausted += 1
-                if tracer is not None:
-                    tracer.event(
-                        "hardening", kind="send_budget_exhausted",
-                        server=dst, qname=qname.to_text(),
-                    )
-                if metrics is not None:
-                    metrics.inc("hardening.send_budget_exhausted")
-                raise BudgetExceeded(
-                    f"work budget exhausted: upstream-send cap "
-                    f"({self.hardening.max_upstream_sends}) reached asking "
-                    f"{dst} for {qname.to_text()}/{qtype.name}"
-                )
-            message_id = self._next_id
-            self._next_id = (self._next_id + 1) & 0xFFFF or 1
-            query = Message.make_query(
-                message_id, qname, qtype, recursion_desired=False,
-                dnssec_ok=self._dnssec_ok,
-            )
-            self.queries_sent += 1
-            if metrics is not None:
-                metrics.inc("engine.queries_sent")
-            if tracer is not None:
-                tracer.begin(
-                    "exchange", server=dst, qname=qname.to_text(),
-                    qtype=qtype.name, attempt=attempt + 1,
-                )
-            sent_at = self._clock.now
-            try:
-                response = self._network.query(self.address, dst, query)
-            except QueryTimeout as timeout:
-                self.timeouts += 1
-                if metrics is not None:
-                    metrics.inc("engine.timeouts")
-                if tracer is not None:
-                    tracer.finish(outcome="timeout", failed=True)
-                self.health.record_failure(dst)
-                last_error = timeout
-                if attempt + 1 < attempts:
-                    self.retries += 1
+        try:
+            for attempt in range(attempts):
+                if not self._budget.charge_send():
+                    self.counters.send_budget_exhausted += 1
+                    if tracer is not None:
+                        tracer.event(
+                            "hardening", kind="send_budget_exhausted",
+                            server=dst, qname=qname.to_text(),
+                        )
                     if metrics is not None:
-                        metrics.inc("engine.retries")
-                    # Retry pacing via the scheduler-friendly absolute
-                    # deadline; under the event loop this suspends the
-                    # session so other clients' traffic interleaves
-                    # during the backoff.
-                    self._clock.sleep_until(
-                        self._clock.now + self.health.backoff_delay(attempt),
-                        priority=Priority.TIMEOUT,
+                        metrics.inc("hardening.send_budget_exhausted")
+                    raise BudgetExceeded(
+                        f"work budget exhausted: upstream-send cap "
+                        f"({self.hardening.max_upstream_sends}) reached "
+                        f"asking {dst} for {qname.to_text()}/{qtype.name}"
                     )
-                continue
-            except NetworkError as unreachable:
-                # Nothing answers at this address at all (e.g. poisoned
-                # glue pointing into the void): permanent for this
-                # destination, so retrying would only burn the budget.
-                self.timeouts += 1
-                if metrics is not None:
-                    metrics.inc("engine.timeouts")
-                if tracer is not None:
-                    tracer.finish(outcome="unreachable", failed=True)
-                self.health.record_failure(dst)
-                last_error = unreachable
-                break
-            if not self.hardening.response_matches(query, response):
-                self.counters.spoofs_rejected += 1
-                if tracer is not None:
-                    tracer.event("hardening", kind="spoof_rejected", server=dst)
-                    tracer.finish(outcome="spoof_rejected", failed=True)
-                if metrics is not None:
-                    metrics.inc("hardening.spoofs_rejected")
-                last_error = ResolutionError(
-                    f"spoofed response from {dst} (id/question mismatch)"
+                message_id = self._next_id
+                self._next_id = (self._next_id + 1) & 0xFFFF or 1
+                query = Message.make_query(
+                    message_id, qname, qtype, recursion_desired=False,
+                    dnssec_ok=self._dnssec_ok,
                 )
-                continue
-            self.health.record_success(dst, self._clock.now - sent_at)
-            if tracer is not None:
-                tracer.finish(rcode=response.rcode.name)
-            return response
-        raise ResolutionError(
-            f"query for {qname.to_text()}/{qtype.name} to {dst} failed "
-            f"after {attempts} attempts"
-        ) from last_error
+                self.queries_sent += 1
+                if metrics is not None:
+                    metrics.inc("engine.queries_sent")
+                if tracer is not None:
+                    tracer.begin(
+                        "exchange", server=dst, qname=qname.to_text(),
+                        qtype=qtype.name, attempt=attempt + 1,
+                    )
+                sent_at = self._clock.now
+                try:
+                    response = self._network.query(self.address, dst, query)
+                except QueryTimeout as timeout:
+                    self.timeouts += 1
+                    if metrics is not None:
+                        metrics.inc("engine.timeouts")
+                    if tracer is not None:
+                        tracer.finish(outcome="timeout", failed=True)
+                    self.health.record_failure(dst)
+                    last_error = timeout
+                    if attempt + 1 < attempts:
+                        self.retries += 1
+                        if metrics is not None:
+                            metrics.inc("engine.retries")
+                        # Retry pacing via the scheduler-friendly absolute
+                        # deadline; under the event loop this suspends the
+                        # session so other clients' traffic interleaves
+                        # during the backoff.
+                        self._clock.sleep_until(
+                            self._clock.now
+                            + self.health.backoff_delay(attempt),
+                            priority=Priority.TIMEOUT,
+                        )
+                    continue
+                except NetworkError as unreachable:
+                    # Nothing answers at this address at all (e.g. poisoned
+                    # glue pointing into the void): permanent for this
+                    # destination, so retrying would only burn the budget.
+                    self.timeouts += 1
+                    if metrics is not None:
+                        metrics.inc("engine.timeouts")
+                    if tracer is not None:
+                        tracer.finish(outcome="unreachable", failed=True)
+                    self.health.record_failure(dst)
+                    last_error = unreachable
+                    break
+                if not self.hardening.response_matches(query, response):
+                    self.counters.spoofs_rejected += 1
+                    if tracer is not None:
+                        tracer.event(
+                            "hardening", kind="spoof_rejected", server=dst
+                        )
+                        tracer.finish(outcome="spoof_rejected", failed=True)
+                    if metrics is not None:
+                        metrics.inc("hardening.spoofs_rejected")
+                    last_error = ResolutionError(
+                        f"spoofed response from {dst} (id/question mismatch)"
+                    )
+                    continue
+                self.health.record_success(dst, self._clock.now - sent_at)
+                if tracer is not None:
+                    tracer.finish(rcode=response.rcode.name)
+                return response
+            raise ResolutionError(
+                f"query for {qname.to_text()}/{qtype.name} to {dst} failed "
+                f"after {attempts} attempts"
+            ) from last_error
+        finally:
+            # A kept exception's traceback holds this frame, and the
+            # frame holds the exception: a cycle through the engine and
+            # its world that only the cyclic collector frees.
+            last_error = None
 
     def query_cut(
         self, addresses: List[str], qname: Name, qtype: RRType
@@ -389,37 +398,41 @@ class IterativeEngine:
         budget = self._retry_budget
         last_lame: Optional[Message] = None
         last_error: Optional[ResolutionError] = None
-        for index, address in enumerate(usable):
-            if budget <= 0:
-                break
-            attempts = min(self.max_retries, budget)
-            budget -= attempts
-            if index > 0:
-                self.failovers += 1
-                if self._metrics is not None:
-                    self._metrics.inc("engine.failovers")
-            try:
-                response = self.send_query(address, qname, qtype, attempts)
-            except BudgetExceeded:
-                raise  # failover cannot restore an exhausted budget
-            except ResolutionError as error:
-                last_error = error
-                continue
-            if response.rcode in _LAME_RCODES:
-                self.health.mark_lame(address)
-                self.health.record_failure(address)
-                last_lame = response
-                continue
-            return response
-        if last_lame is not None:
+        try:
+            for index, address in enumerate(usable):
+                if budget <= 0:
+                    break
+                attempts = min(self.max_retries, budget)
+                budget -= attempts
+                if index > 0:
+                    self.failovers += 1
+                    if self._metrics is not None:
+                        self._metrics.inc("engine.failovers")
+                try:
+                    response = self.send_query(address, qname, qtype, attempts)
+                except BudgetExceeded:
+                    raise  # failover cannot restore an exhausted budget
+                except ResolutionError as error:
+                    last_error = error
+                    continue
+                if response.rcode in _LAME_RCODES:
+                    self.health.mark_lame(address)
+                    self.health.record_failure(address)
+                    last_lame = response
+                    continue
+                return response
+            if last_lame is not None:
+                raise ResolutionError(
+                    f"unusable response for {qname.to_text()}/{qtype.name} "
+                    f"(rcode={last_lame.rcode.name}) from every reachable "
+                    f"server"
+                )
             raise ResolutionError(
-                f"unusable response for {qname.to_text()}/{qtype.name} "
-                f"(rcode={last_lame.rcode.name}) from every reachable server"
-            )
-        raise ResolutionError(
-            f"no server for {qname.to_text()}/{qtype.name} answered within "
-            f"the retry budget"
-        ) from last_error
+                f"no server for {qname.to_text()}/{qtype.name} answered "
+                f"within the retry budget"
+            ) from last_error
+        finally:
+            last_error = None  # no frame/traceback cycle (send_query)
 
     # ------------------------------------------------------------------
     # Cut bookkeeping

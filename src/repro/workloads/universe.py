@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import perf
@@ -159,8 +160,10 @@ class Universe:
             self._tld_by_label = {tld.label: tld for tld in self._tlds}
             self._address_counter = 0
             self._apex_address: Dict[Name, str] = {}
-            self._resolver_count = 0
             self._stub_count = 0
+            #: Every resolver :meth:`make_resolver` built, in order.  The
+            #: universe owns them; the network only refers to them.
+            self._resolvers: List[RecursiveResolver] = []
             #: Telemetry sinks handed to every resolver built by
             #: :meth:`make_resolver`; ``None`` until
             #: :meth:`attach_telemetry` installs real ones.
@@ -484,8 +487,7 @@ class Universe:
     def make_resolver(
         self, config: ResolverConfig, address: Optional[str] = None
     ) -> RecursiveResolver:
-        self._resolver_count += 1
-        address = address or f"192.0.2.{self._resolver_count}"
+        address = address or f"192.0.2.{len(self._resolvers) + 1}"
         resolver = RecursiveResolver(
             network=self.network,
             address=address,
@@ -496,7 +498,11 @@ class Universe:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        self.network.register(address, resolver)
+        # The resolver holds the network, so the network holds it only
+        # weakly: a dropped world is then no reference cycle, and
+        # reference counting frees it where it is dropped.
+        self._resolvers.append(resolver)
+        self.network.register(address, weakref.ref(resolver))
         # Stub-to-resolver hops are on-host in the paper's setup.
         self.network.latency.pin(address, 0.0005)
         return resolver

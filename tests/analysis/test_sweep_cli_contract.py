@@ -17,13 +17,14 @@ builds its own universe for its size from a derived seed, while the
 walk builds one universe for the largest size.
 """
 
+import re
 from typing import List
 
 import pytest
 
 from repro import perf
 from repro.cli import main
-from repro.core import CellTimeout
+from repro.core import CellTimeout, ResultStore
 
 SWEEP = ["sweep", "--sizes", "60,200", "--filler", "300"]
 
@@ -90,3 +91,43 @@ def test_storeless_sweep_honours_the_failure_knobs(capsys):
     listed = [line for line in out.splitlines() if line.startswith("  - ")]
     assert len(listed) == 4
     assert all("timeout after 1 attempt(s)" in line for line in listed)
+
+
+#: Two sizes whose every cell times out (see the test above).
+QUARANTINE_ALL = [
+    "sweep", "--shards", "2", "--sizes", "8,16", "--filler", "100",
+    "--parallelism", "2", "--timeout", "0.001", "--retries", "0",
+]
+
+
+def _quarantine_all(capsys, *knobs: str) -> str:
+    with perf.caches_disabled():
+        assert main([*QUARANTINE_ALL, *knobs]) == 3
+    return capsys.readouterr().out
+
+
+def test_quarantined_cells_name_their_size(capsys, tmp_path):
+    """The cells of one shard index in two sizes read apart: each
+    listed cell names its name count, and each journalled quarantine
+    its sweep size."""
+    store = tmp_path / "store"
+    out = _quarantine_all(capsys, "--store", str(store))
+    contexts = re.findall(r"^  - cell \d+ (\[[^]]*\])", out, re.MULTILINE)
+    assert len(contexts) == 4
+    assert len(set(contexts)) == 4, contexts
+    assert sorted(re.search(r"names=(\d+)", c).group(1) for c in contexts) == [
+        "4", "4", "8", "8",
+    ]
+    events = ResultStore(store).journal().events()
+    assert sorted(
+        (event["size"], event["shard"])
+        for event in events
+        if event["event"] == "quarantine"
+    ) == [(8, 0), (8, 1), (16, 0), (16, 1)]
+
+
+def test_a_point_with_no_healthy_cell_prints_as_missing(capsys):
+    out = _quarantine_all(capsys)
+    rows = re.findall(r"^ +(\d+) \| +(\S+)", out, re.MULTILINE)
+    # Fig 8's two sizes, then Fig 9's.
+    assert rows == [("8", "missing"), ("16", "missing")] * 2, out

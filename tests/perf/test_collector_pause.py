@@ -1,10 +1,11 @@
 """World builds and cell loads run with the cyclic collector paused.
 
-``perf.collector_paused()`` wraps exactly the code that builds or loads
-a long-lived, acyclic object graph: the workload list, the registry
+``perf.collector_paused()`` wraps five builds and loads of a
+long-lived, acyclic object graph: the workload list, the registry
 filler draw, the universe, a stored cell's unpickle and fingerprint
-check, and a pooled cell's unpickle.  These tests state what makes that
-safe and what it buys:
+check, and a pooled cell's unpickle (the walk, the sixth paused site,
+is tested in ``test_walk_cycles.py``).  These tests state what makes
+that safe and what it buys:
 
 * no collection starts inside any of those calls (many do at a build
   or load of this size without the pause);

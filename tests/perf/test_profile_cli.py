@@ -43,3 +43,22 @@ def test_profile_prints_setup_collector_line(capsys):
     # Ahead of the whole-cell line.
     whole = out.index("Garbage collector: ")
     assert out.index("Hot-path caches:") < setup.start() < whole
+
+
+def test_profile_prints_what_the_dropped_cell_leaves(capsys):
+    """A walked world holds no reference cycle: once the profiled
+    cell's universe, experiment and result are dropped, a collection
+    finds nothing unreachable."""
+    argv = ["profile", "--domains", "60", "--filler", "400", "--limit", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    match = re.search(
+        r"^Garbage collector after dropping the cell: (\d+) unreachable "
+        r"objects$",
+        out,
+        re.MULTILINE,
+    )
+    assert match is not None, out[-600:]
+    assert int(match.group(1)) == 0
+    # The last of the three collector lines.
+    assert out.index("Garbage collector: ") < match.start()
