@@ -35,14 +35,11 @@ Both entry points only set the cell up — script the scenario or deploy
 the persona — and share one body that drives the sessions and reads
 the result.
 
-The ``load=`` axis on the matrices routes here: ``load=None`` and
-``load=1`` keep the serial cell (:func:`coerce_load` maps both to
-``None``), and ``load=N`` / ``load=ReplayLoad(...)`` makes
-:func:`~repro.core.experiment.run_chaos_cell` /
-:func:`~repro.core.experiment.run_adversary_cell` build their report
-from :func:`run_chaos_replay` / :func:`run_adversary_replay`.  That a
-single scheduler session reproduces the serial experiment byte for
-byte is pinned separately, on
+The serial cells (:func:`~repro.core.experiment.run_chaos_cell`,
+:func:`~repro.core.experiment.run_adversary_cell`) always walk one
+stub query at a time; "under load" always means calling a replay
+here with a :class:`ReplayLoad`.  That a single scheduler session
+reproduces the serial experiment byte for byte is pinned on
 :func:`~repro.core.replay.run_experiment_in_session`.
 """
 
@@ -52,7 +49,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..dnscore import Name
 from ..netsim import AdversaryPersona, SchedulerStats
@@ -70,7 +67,7 @@ from .replay import drive_replay_sessions, fold_windows
 
 @dataclasses.dataclass(frozen=True)
 class ReplayLoad:
-    """The load axis of an under-load matrix cell: a population of
+    """The load of a chaos or adversary replay: a population of
     concurrent stubs and their arrival rate.
 
     ``queries=None`` sizes the stream to ``users * per_user_qps *
@@ -113,28 +110,6 @@ class ReplayLoad:
         )
 
 
-#: What the matrices accept on their ``load=`` axis.
-LoadSpec = Union[None, int, ReplayLoad]
-
-
-def coerce_load(load: LoadSpec) -> Optional[ReplayLoad]:
-    """Normalise a ``load=`` argument: ``None`` and ``1`` both mean the
-    serial cell and become ``None``, an ``int > 1`` becomes that many
-    users at the default rate, and a :class:`ReplayLoad` passes
-    through."""
-    if load is None:
-        return None
-    if isinstance(load, ReplayLoad):
-        return load
-    if isinstance(load, bool) or not isinstance(load, int):
-        raise TypeError(f"load must be None, an int, or ReplayLoad, got {load!r}")
-    if load < 1:
-        raise ValueError(f"load must be >= 1, got {load}")
-    if load == 1:
-        return None
-    return ReplayLoad(users=load)
-
-
 @dataclasses.dataclass
 class ChaosReplayResult:
     """One under-load cell: the window stream and its phase folds."""
@@ -161,6 +136,9 @@ class ChaosReplayResult:
     stale_served: int = 0
     lookaside_skipped: int = 0
     lookaside_disabled: bool = False
+    #: The engine's send counter (``engine.queries_sent``): every
+    #: upstream send it began, including one to an address no server
+    #: holds, which fails before any packet is captured.
     upstream_sends: int = 0
     crypto_verify_calls: int = 0
     hardening: Optional[HardeningSnapshot] = None
@@ -325,7 +303,7 @@ def run_chaos_replay(
     scenario: Optional[ChaosScenario] = None,
     scenario_label: str = "none",
     policy_label: str = "",
-    load: LoadSpec = ReplayLoad(),
+    load: ReplayLoad = ReplayLoad(),
     progress: Optional[Callable[[ReplayWindow], None]] = None,
 ) -> ChaosReplayResult:
     """One chaos cell under load: script *scenario*'s fault windows
@@ -358,7 +336,7 @@ def run_adversary_replay(
     adversary: Optional[AdversaryScenario] = None,
     adversary_label: str = "none",
     policy_label: str = "",
-    load: LoadSpec = ReplayLoad(),
+    load: ReplayLoad = ReplayLoad(),
     progress: Optional[Callable[[ReplayWindow], None]] = None,
 ) -> ChaosReplayResult:
     """One adversary cell under load: deploy the persona, then replay
@@ -388,7 +366,7 @@ def _replay_cell(
     universe: Universe,
     config: ResolverConfig,
     names: Sequence[Name],
-    load: LoadSpec,
+    load: ReplayLoad,
     progress: Optional[Callable[[ReplayWindow], None]],
     *,
     scenario: str,
@@ -398,19 +376,18 @@ def _replay_cell(
 ) -> ChaosReplayResult:
     """Drive *names* through the sessions of *load* on a universe whose
     faults or persona are already in place, and read the result."""
-    replay_load = coerce_load(load) or ReplayLoad(users=1)
     started_wall = time.perf_counter()
     outcome = drive_replay_sessions(
         universe,
         config,
-        _round_robin_names(names, replay_load.users),
-        users=replay_load.users,
-        per_user_qps=replay_load.per_user_qps,
-        queries=replay_load.query_budget(),
-        window_seconds=replay_load.window_seconds,
-        max_concurrent=replay_load.max_concurrent,
-        max_queue=replay_load.max_queue,
-        seed=replay_load.seed,
+        _round_robin_names(names, load.users),
+        users=load.users,
+        per_user_qps=load.per_user_qps,
+        queries=load.query_budget(),
+        window_seconds=load.window_seconds,
+        max_concurrent=load.max_concurrent,
+        max_queue=load.max_queue,
+        seed=load.seed,
         progress=progress,
     )
     wall = time.perf_counter() - started_wall
@@ -419,7 +396,7 @@ def _replay_cell(
     return ChaosReplayResult(
         scenario=scenario,
         policy=policy,
-        load=replay_load,
+        load=load,
         windows=outcome.windows,
         overall=overall,
         scheduler=outcome.scheduler,

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 from .. import perf
 from ..dnscore import Name, RCode, RRType
 from ..netsim import AdversaryPersona
-from ..resolver import RecursiveResolver, ResolverConfig, ValidationStatus
+from ..resolver import ResolverConfig
 from ..workloads import Universe
 from .attacks import schedule_outage
 from .leakage import LeakageClassifier, LeakageReport
@@ -249,21 +249,14 @@ class ChaosReport:
     #: black-holed registry observes nothing).
     case2_queries: int
     #: DLV queries the registry received (Case-1 plus Case-2), counted
-    #: by the same classifier on the serial and the under-load cell.
+    #: by the classifier the replays also use at the wire.
     registry_queries_delivered: int
     #: Resilience machinery activity.
     stale_served: int
     lookaside_skipped: int
     lookaside_disabled: bool
-    #: The full serial run (``None`` for under-load cells, which have
-    #: no per-name serial result — see ``replay``).
-    result: Optional[ExperimentResult] = dataclasses.field(
-        default=None, repr=False
-    )
-    #: The concurrent replay behind an under-load cell
-    #: (:class:`~repro.core.chaos_replay.ChaosReplayResult`; ``None``
-    #: for serial cells).
-    replay: Optional[object] = dataclasses.field(default=None, repr=False)
+    #: The cell's walk.
+    result: ExperimentResult = dataclasses.field(repr=False)
 
     def describe(self) -> str:
         return (
@@ -278,12 +271,23 @@ class ChaosReport:
         )
 
 
-def _make_telemetry(universe: Universe, trace: bool):
-    """Telemetry sinks for one matrix cell: a tracer on the universe's
-    simulated clock plus a fresh registry, or ``(None, None)``."""
-    if not trace:
-        return None, None
-    return Tracer(universe.clock), MetricsRegistry()
+def _walk_cell(
+    universe: Universe,
+    config: ResolverConfig,
+    names: Sequence[Name],
+    setup: Optional[Callable[[Universe], object]],
+):
+    """The walk every chaos and adversary cell takes: put *setup* (a
+    scenario or a persona) on *universe*, walk *names* with a fresh
+    resolver, and return ``(result, resolver, deployed)``.
+
+    The walk is traced when *universe* carries telemetry
+    (:meth:`~repro.workloads.Universe.attach_telemetry`): the result
+    then holds one root span per stub query and a metrics snapshot.
+    """
+    deployed = setup(universe) if setup is not None else None
+    experiment = LeakageExperiment(universe, config)
+    return experiment.run(names), experiment.resolver, deployed
 
 
 def run_chaos_cell(
@@ -293,67 +297,21 @@ def run_chaos_cell(
     scenario: Optional[ChaosScenario] = None,
     scenario_label: str = "none",
     policy_label: str = "",
-    trace: bool = False,
-    load=None,
 ) -> ChaosReport:
-    """One cell of the chaos matrix: script the faults, run the
-    workload, distil availability / latency / exposure.
+    """One cell of the chaos matrix: script the faults, walk the names
+    one stub query at a time, distil availability / latency / exposure.
 
-    With ``trace=True`` the cell runs fully instrumented: the returned
-    report's ``result.traces`` holds one span tree per stub query and
-    ``result.metrics`` the cell's counter/histogram snapshot.
-
-    ``load`` selects the execution regime: ``None`` (or ``1``) is the
-    serial cell; an ``int > 1`` or a
-    :class:`~repro.core.chaos_replay.ReplayLoad` replays the cell under
-    concurrent load (``report.replay`` carries the window stream,
-    ``report.result`` is ``None``).
+    The same cell under concurrent load is
+    :func:`~repro.core.chaos_replay.run_chaos_replay`.
     """
-    from .chaos_replay import coerce_load, run_chaos_replay
-
-    policy = policy_label or config.describe()
-    replay_load = coerce_load(load)
-    if replay_load is not None:
-        replay = run_chaos_replay(
-            universe,
-            config,
-            names,
-            scenario=scenario,
-            scenario_label=scenario_label,
-            policy_label=policy,
-            load=replay_load,
-        )
-        overall = replay.overall
-        total = max(1, overall.queries)
-        return ChaosReport(
-            scenario=scenario_label,
-            policy=policy,
-            domains=len(names),
-            noerror=overall.queries - overall.failures,
-            servfail=overall.servfails,
-            servfail_rate=overall.servfails / total,
-            mean_response_time=overall.mean_latency,
-            case2_queries=overall.case2_queries,
-            registry_queries_delivered=overall.dlv_queries,
-            stale_served=replay.stale_served,
-            lookaside_skipped=replay.lookaside_skipped,
-            lookaside_disabled=replay.lookaside_disabled,
-            replay=replay,
-        )
-    if scenario is not None:
-        scenario(universe)
-    tracer, metrics = _make_telemetry(universe, trace)
-    experiment = LeakageExperiment(universe, config, tracer=tracer, metrics=metrics)
-    result = experiment.run(names)
+    result, resolver, _ = _walk_cell(universe, config, names, scenario)
     servfail = result.rcode_counts.get(RCode.SERVFAIL.name, 0)
-    noerror = result.rcode_counts.get(RCode.NOERROR.name, 0)
     total = max(1, len(names))
-    resolver = experiment.resolver
     return ChaosReport(
         scenario=scenario_label,
-        policy=policy,
+        policy=policy_label or config.describe(),
         domains=len(names),
-        noerror=noerror,
+        noerror=result.rcode_counts.get(RCode.NOERROR.name, 0),
         servfail=servfail,
         servfail_rate=servfail / total,
         mean_response_time=result.overhead.response_time / total,
@@ -391,13 +349,11 @@ def run_chaos_matrix(
     names: Sequence[Name],
     scenarios: Mapping[str, Optional[ChaosScenario]],
     configs: Mapping[str, ResolverConfig],
-    trace: bool = False,
     parallelism: int = 1,
     fail_fast: bool = False,
     timeout: Optional[float] = None,
     retries: int = 0,
     quarantine: Optional[List] = None,
-    load=None,
 ) -> List[ChaosReport]:
     """Sweep fault scenarios × resolver policies.
 
@@ -418,9 +374,9 @@ def run_chaos_matrix(
     list (or warned about).  ``fail_fast=True`` raises the first cell's
     typed failure instead.
 
-    ``load`` applies :func:`run_chaos_cell`'s execution regime to every
-    cell: ``None`` or ``1`` runs the serial sweep, higher loads replay
-    every cell concurrently.
+    A factory that attaches telemetry to each universe
+    (:meth:`~repro.workloads.Universe.attach_telemetry`) traces every
+    cell: each report's ``result`` carries its spans and metrics.
     """
     from .parallel import run_tasks_fault_tolerant
 
@@ -433,8 +389,6 @@ def run_chaos_matrix(
                 scenario=scenario,
                 scenario_label=scenario_label,
                 policy_label=policy_label,
-                trace=trace,
-                load=load,
             )
 
         cell.cell_context = f"chaos '{scenario_label}' × '{policy_label}'"
@@ -477,7 +431,10 @@ class AdversaryReport:
     noerror: int
     servfail: int
     servfail_rate: float
-    #: Queries the resolver itself sent upstream (excludes stub traffic).
+    #: Queries the resolver itself sent upstream (excludes stub
+    #: traffic): the query packets in the walk's capture whose source
+    #: is the resolver.  A send to an address no server holds fails
+    #: before it is captured, so it is not counted here.
     upstream_sends: int
     #: ``upstream_sends`` relative to the same policy's no-adversary
     #: baseline — the amplification factor the persona achieved.
@@ -493,13 +450,8 @@ class AdversaryReport:
     #: Case-2 leakage, to confirm the defence layer does not perturb
     #: the paper's measurement in the control cell.
     case2_queries: int
-    #: The full serial run (``None`` for under-load cells).
-    result: Optional[ExperimentResult] = dataclasses.field(
-        default=None, repr=False
-    )
-    #: The concurrent replay behind an under-load cell
-    #: (:class:`~repro.core.chaos_replay.ChaosReplayResult`).
-    replay: Optional[object] = dataclasses.field(default=None, repr=False)
+    #: The cell's walk.
+    result: ExperimentResult = dataclasses.field(repr=False)
 
     def describe(self) -> str:
         return (
@@ -513,14 +465,6 @@ class AdversaryReport:
         )
 
 
-def _upstream_sends(result: ExperimentResult, resolver: RecursiveResolver) -> int:
-    if result.capture is None:
-        return 0
-    return sum(
-        1 for record in result.capture.queries() if record.src == resolver.address
-    )
-
-
 def run_adversary_cell(
     universe: Universe,
     config: ResolverConfig,
@@ -529,80 +473,31 @@ def run_adversary_cell(
     adversary_label: str = "none",
     policy_label: str = "",
     baseline_sends: Optional[int] = None,
-    trace: bool = False,
-    load=None,
 ) -> AdversaryReport:
-    """One cell: deploy the persona, run the workload, read the damage.
+    """One cell: deploy the persona, walk the names, read the damage.
 
     ``baseline_sends`` is the same policy's no-adversary send count; when
-    given, ``amplification`` is relative to it (else 1.0).  With
-    ``trace=True`` the returned report's ``result.traces`` and
-    ``result.metrics`` carry the cell's full telemetry.
-
-    ``load`` mirrors :func:`run_chaos_cell`: ``None`` (or ``1``) is the
-    serial cell, an ``int > 1`` or a
-    :class:`~repro.core.chaos_replay.ReplayLoad` the concurrent replay,
-    whose amplification is relative to the same policy's no-adversary
-    baseline *at the same load*.
+    given, ``amplification`` is relative to it (else 1.0).  The same
+    cell under concurrent load is
+    :func:`~repro.core.chaos_replay.run_adversary_replay`.
     """
-    from .chaos_replay import coerce_load, run_adversary_replay
-
-    policy = policy_label or config.hardening.describe()
-    replay_load = coerce_load(load)
-    if replay_load is not None:
-        replay = run_adversary_replay(
-            universe,
-            config,
-            names,
-            adversary=adversary,
-            adversary_label=adversary_label,
-            policy_label=policy,
-            load=replay_load,
-        )
-        overall = replay.overall
-        return AdversaryReport(
-            adversary=adversary_label,
-            policy=policy,
-            domains=len(names),
-            noerror=overall.queries - overall.failures,
-            servfail=overall.servfails,
-            servfail_rate=overall.servfails / max(1, overall.queries),
-            upstream_sends=replay.upstream_sends,
-            amplification=(
-                replay.upstream_sends / baseline_sends if baseline_sends else 1.0
-            ),
-            poisoned_cache_entries=replay.poisoned_cache_entries,
-            crypto_verify_calls=replay.crypto_verify_calls,
-            hardening=replay.hardening,
-            responses_forged=replay.responses_forged,
-            case2_queries=overall.case2_queries,
-            replay=replay,
-        )
-    persona = adversary(universe) if adversary is not None else None
-    tracer, metrics = _make_telemetry(universe, trace)
-    experiment = LeakageExperiment(universe, config, tracer=tracer, metrics=metrics)
-    result = experiment.run(names)
-    resolver = experiment.resolver
-    sends = _upstream_sends(result, resolver)
-    if baseline_sends:
-        amplification = sends / baseline_sends
-    else:
-        amplification = 1.0
-    poisoned = (
-        poisoned_cache_entries(resolver, [persona]) if persona is not None else 0
+    result, resolver, persona = _walk_cell(universe, config, names, adversary)
+    sends = sum(
+        1 for record in result.capture.queries() if record.src == resolver.address
     )
     servfail = result.rcode_counts.get(RCode.SERVFAIL.name, 0)
-    noerror = result.rcode_counts.get(RCode.NOERROR.name, 0)
     return AdversaryReport(
         adversary=adversary_label,
-        policy=policy,
+        policy=policy_label or config.hardening.describe(),
         domains=len(names),
-        noerror=noerror,
+        noerror=result.rcode_counts.get(RCode.NOERROR.name, 0),
         servfail=servfail,
         servfail_rate=servfail / max(1, len(names)),
         upstream_sends=sends,
-        amplification=amplification,
-        poisoned_cache_entries=poisoned,
+        amplification=sends / baseline_sends if baseline_sends else 1.0,
+        poisoned_cache_entries=(
+            poisoned_cache_entries(resolver, [persona]) if persona is not None else 0
+        ),
         crypto_verify_calls=resolver.validator.crypto_verify_calls,
         hardening=hardening_snapshot(resolver),
         responses_forged=persona.responses_forged if persona is not None else 0,
@@ -616,13 +511,11 @@ def run_adversary_matrix(
     names: Sequence[Name],
     adversaries: Mapping[str, Optional[AdversaryScenario]],
     configs: Mapping[str, ResolverConfig],
-    trace: bool = False,
     parallelism: int = 1,
     fail_fast: bool = False,
     timeout: Optional[float] = None,
     retries: int = 0,
     quarantine: Optional[List] = None,
-    load=None,
 ) -> List[AdversaryReport]:
     """Sweep adversary personas × hardening policies.
 
@@ -665,8 +558,6 @@ def run_adversary_matrix(
                 adversary_label=adversary_label,
                 policy_label=policy_label,
                 baseline_sends=baseline_sends,
-                trace=trace,
-                load=load,
             )
 
         cell.cell_context = f"adversary '{adversary_label}' × '{policy_label}'"

@@ -89,6 +89,10 @@ from .tracing import Span, Tracer, export_traces_jsonl
 
 T = TypeVar("T")
 
+#: How long the fork-pool loop waits on its workers' pipes (or sleeps
+#: out a retry delay) before it checks deadlines and due work again.
+_POLL_SECONDS = 0.02
+
 #: A picklable callable building a fresh universe from a sub-seed.
 UniverseFactory = Callable[[int], Universe]
 
@@ -936,11 +940,7 @@ class FaultTolerantExecutor:
         retries: int = 2,
         keep_going: bool = True,
         backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_cap: float = 2.0,
         isolate: Optional[bool] = None,
-        poll_interval: float = 0.02,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -950,12 +950,8 @@ class FaultTolerantExecutor:
         self.timeout = timeout
         self.retries = retries
         self.keep_going = keep_going
-        self.backoff = backoff_schedule(
-            retries, base=backoff_base, factor=backoff_factor, cap=backoff_cap
-        )
+        self.backoff = backoff_schedule(retries, base=backoff_base)
         self.isolate = isolate
-        self.poll_interval = poll_interval
-        self._sleep = sleep
 
     @staticmethod
     def fork_available() -> bool:
@@ -1022,7 +1018,7 @@ class FaultTolerantExecutor:
                         health.retries += 1
                         delay = self.backoff[attempt]
                         if delay > 0:
-                            self._sleep(delay)
+                            time.sleep(delay)
                         continue
                     failure = TaskFailure(context, detail)
                     self._fail(
@@ -1098,10 +1094,10 @@ class FaultTolerantExecutor:
                     # Everything pending is backing off; wait out the
                     # nearest retry without spinning.
                     wake = min(item[0] for item in pending)
-                    self._sleep(max(0.0, min(wake - now, self.poll_interval)))
+                    time.sleep(max(0.0, min(wake - now, _POLL_SECONDS)))
                     continue
                 multiprocessing.connection.wait(
-                    [slot.conn for slot in busy], timeout=self.poll_interval
+                    [slot.conn for slot in busy], timeout=_POLL_SECONDS
                 )
                 now = time.monotonic()
                 for slot in busy:

@@ -178,10 +178,10 @@ class _WindowAccum:
         end: float,
         cache_hits: int,
         cache_misses: int,
-        retries: int = 0,
-        stale_served: int = 0,
-        queued: int = 0,
-        rejected: int = 0,
+        retries: int,
+        stale_served: int,
+        queued: int,
+        rejected: int,
     ) -> ReplayWindow:
         return ReplayWindow(
             start=self.start,
@@ -286,12 +286,10 @@ def drive_replay_sessions(
     misses_counter = metrics.counter("cache.misses")
     retries_counter = metrics.counter("engine.retries")
     stale_counter = metrics.counter("engine.stale_served")
-    seen_hits = 0
-    seen_misses = 0
-    seen_retries = 0
-    seen_stale = 0
-    seen_queued = 0
-    seen_rejected = 0
+    # Running totals at the last window's close, in ``freeze``'s order:
+    # cache hits and misses, retries, stale answers, admissions queued
+    # and rejected.  A window's deltas are the current totals minus these.
+    seen = (0, 0, 0, 0, 0, 0)
     arrivals = iter_replay_arrivals(
         generate_trace(DitlParams(seed=seed, scale=0.001)),
         users=users,
@@ -317,24 +315,19 @@ def drive_replay_sessions(
     ) as scheduler:
 
         def close_window(end: float) -> None:
-            nonlocal accum, seen_hits, seen_misses
-            nonlocal seen_retries, seen_stale, seen_queued, seen_rejected
-            hits, misses = hits_counter.value, misses_counter.value
-            retries, stale = retries_counter.value, stale_counter.value
-            queued = scheduler.stats.queued
-            rejected = scheduler.stats.rejected
-            window = accum.freeze(
-                end,
-                hits - seen_hits,
-                misses - seen_misses,
-                retries=retries - seen_retries,
-                stale_served=stale - seen_stale,
-                queued=queued - seen_queued,
-                rejected=rejected - seen_rejected,
+            nonlocal accum, seen
+            totals = (
+                hits_counter.value,
+                misses_counter.value,
+                retries_counter.value,
+                stale_counter.value,
+                scheduler.stats.queued,
+                scheduler.stats.rejected,
             )
-            seen_hits, seen_misses = hits, misses
-            seen_retries, seen_stale = retries, stale
-            seen_queued, seen_rejected = queued, rejected
+            window = accum.freeze(
+                end, *(total - before for total, before in zip(totals, seen))
+            )
+            seen = totals
             windows.append(window)
             accum = _WindowAccum(end)
             if progress is not None:
@@ -413,7 +406,13 @@ def drive_replay_sessions(
 
         schedule_next_arrival()
         scheduler.call_at(window_seconds, boundary, label="window")
-        stats = scheduler.run()
+        try:
+            stats = scheduler.run()
+        finally:
+            # Each reschedules itself by name, so its closure cell holds
+            # the function itself: a cycle through the universe, the
+            # resolver and the stubs that only the cyclic collector frees.
+            schedule_next_arrival = boundary = None
 
     if accum.queries or accum.packets or not windows:
         close_window(clock.now)

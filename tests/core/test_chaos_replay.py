@@ -1,4 +1,4 @@
-"""Chaos replay: availability monoid laws, load semantics, equivalence.
+"""Chaos replay: availability monoid laws, equivalence, determinism.
 
 Three contracts certify the concurrent chaos driver:
 
@@ -11,8 +11,7 @@ Three contracts certify the concurrent chaos driver:
   cell's experiment through the scheduler as a single session
   reproduces the serial result fingerprint *and* trace JSONL for every
   fault plan and every byzantine persona.  This is what licenses
-  reading the ``load>1`` curves as "the same experiment, busier";
-  ``load=1`` itself is the serial cell.
+  reading a replay's curves as "the same experiment, busier".
 * **Determinism + shedding** — same universe/config/load ⇒ same
   :func:`chaos_replay_fingerprint`; a bounded admission queue sheds
   arrivals without losing accounting (every budgeted query is either
@@ -32,7 +31,6 @@ from repro.core import (
     ReplayWindow,
     Tracer,
     chaos_replay_fingerprint,
-    coerce_load,
     deploy_poisoner,
     deploy_referral_bomber,
     deploy_sig_bomber,
@@ -48,7 +46,6 @@ from repro.core import (
     poisoned_cache_entries,
     registry_outage_scenario,
     result_fingerprint,
-    run_chaos_cell,
     run_chaos_replay,
     run_experiment_in_session,
     schedule_brownout,
@@ -302,31 +299,6 @@ def test_bounded_admission_sheds_but_keeps_accounting():
 
 
 # ----------------------------------------------------------------------
-# coerce_load
-# ----------------------------------------------------------------------
-
-
-def test_coerce_load_normalises():
-    assert coerce_load(None) is None
-    assert coerce_load(1) is None
-    assert coerce_load(SMALL_LOAD) is SMALL_LOAD
-    eight = coerce_load(8)
-    assert isinstance(eight, ReplayLoad) and eight.users == 8
-
-
-@pytest.mark.parametrize("bad", [True, False, 1.5, "4"])
-def test_coerce_load_rejects_non_ints(bad):
-    with pytest.raises(TypeError):
-        coerce_load(bad)
-
-
-@pytest.mark.parametrize("bad", [0, -1])
-def test_coerce_load_rejects_non_positive(bad):
-    with pytest.raises(ValueError):
-        coerce_load(bad)
-
-
-# ----------------------------------------------------------------------
 # Single-session byte-identity: chaos cells
 # ----------------------------------------------------------------------
 
@@ -376,19 +348,6 @@ def _serial_and_session(setup):
 @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
 def test_chaos_cell_load_one_is_byte_identical_to_serial(plan):
     _serial_and_session(FAULT_PLANS[plan])
-
-
-def test_load_one_is_the_serial_cell():
-    scenario = FAULT_PLANS["registry-blackhole"]
-    serial, once = (
-        run_chaos_cell(
-            make_universe(), correct_bind_config(), experiment_names(),
-            scenario=scenario, load=load,
-        )
-        for load in (None, 1)
-    )
-    assert once.replay is None
-    assert result_fingerprint(once.result) == result_fingerprint(serial.result)
 
 
 # ----------------------------------------------------------------------

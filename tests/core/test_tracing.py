@@ -9,10 +9,14 @@ from repro.core import (
     NullMetricsRegistry,
     NullTracer,
     Tracer,
+    deploy_spoofer,
     export_traces_jsonl,
     import_traces_jsonl,
     observer_trace_summary,
+    registry_outage_scenario,
     render_span_tree,
+    run_adversary_cell,
+    run_chaos_matrix,
     standard_universe,
     standard_workload,
 )
@@ -230,3 +234,74 @@ def test_observer_trace_summary_attributes_leaks_to_registry():
         if address != universe.registry_address
     )
     assert others_case2 == 0
+
+
+# ----------------------------------------------------------------------
+# Traced chaos and adversary cells: telemetry attached to the universe
+# ----------------------------------------------------------------------
+
+
+def _traced_universe():
+    universe = standard_universe(standard_workload(DOMAINS), filler_count=FILLER)
+    universe.attach_telemetry(
+        tracer=Tracer(universe.clock), metrics=MetricsRegistry()
+    )
+    return universe
+
+
+def _assert_one_root_per_stub_query(result):
+    # Stub queries are the only ones sent with recursion desired.
+    stub_queries = sum(
+        1 for record in result.capture.queries() if record.message.flags.rd
+    )
+    assert stub_queries >= len(result.names) > 0
+    assert len(result.traces) == stub_queries
+    for root in result.traces:
+        assert root.name == "resolution"
+        assert root.parent_id is None
+    assert result.metrics["counters"]["resolver.resolutions"] == stub_queries
+
+
+def test_traced_chaos_matrix_carries_each_cells_telemetry():
+    names = standard_workload(DOMAINS).names(RUN)
+    scenarios = {
+        "none": None,
+        "registry-blackhole": registry_outage_scenario(rcode=None),
+    }
+    configs = {"fallback": correct_bind_config()}
+    traced = run_chaos_matrix(_traced_universe, names, scenarios, configs)
+    assert [report.scenario for report in traced] == list(scenarios)
+    for report in traced:
+        _assert_one_root_per_stub_query(report.result)
+    outage = traced[1].result
+    assert any(
+        span.name == "fault" and span.attrs["kind"] == "outage_blackhole"
+        for root in outage.traces
+        for span in root.walk()
+    )
+    # Tracing observes the cells without changing them.
+    untraced = run_chaos_matrix(
+        lambda: standard_universe(standard_workload(DOMAINS), filler_count=FILLER),
+        names,
+        scenarios,
+        configs,
+    )
+    assert [r.describe() for r in traced] == [r.describe() for r in untraced]
+    assert all(report.result.metrics is None for report in untraced)
+
+
+def test_traced_adversary_cell_carries_its_telemetry():
+    report = run_adversary_cell(
+        _traced_universe(),
+        correct_bind_config(),
+        standard_workload(DOMAINS).names(RUN),
+        adversary=lambda universe: deploy_spoofer(universe, seed=9),
+        adversary_label="spoofer",
+    )
+    assert report.responses_forged > 0
+    _assert_one_root_per_stub_query(report.result)
+    counters = report.result.metrics["counters"]
+    assert counters["hardening.spoofs_rejected"] == (
+        report.hardening.spoofs_rejected
+    )
+    assert report.hardening.spoofs_rejected > 0

@@ -17,6 +17,12 @@ These tests state each break, and then what the pause needs: no
 collection starts inside a walk, and once the world is dropped a
 collection finds nothing unreachable, on every kind of walk the
 figures, chaos cells and adversary cells take.
+
+A replay's driver nests two callbacks that reschedule themselves by
+name, so each one's closure cell held the function itself, and with it
+the universe, the resolver and the stubs; the driver now clears both
+names once its event loop ends.  The replay tests state that a dropped
+replayed world, too, leaves nothing for a collection to find.
 """
 
 import dataclasses
@@ -32,6 +38,8 @@ from repro import perf
 from repro.core import (
     LeakageExperiment,
     MetricsRegistry,
+    ReplayLoad,
+    ReplayParams,
     Tracer,
     deploy_poisoner,
     deploy_referral_bomber,
@@ -39,7 +47,10 @@ from repro.core import (
     deploy_spoofer,
     registry_outage_scenario,
     run_adversary_cell,
+    run_adversary_replay,
     run_chaos_cell,
+    run_chaos_replay,
+    run_population_replay,
 )
 from repro.dnscore import Name, RCode, RRType
 from repro.dnscore import names as names_module
@@ -260,5 +271,68 @@ def test_a_walk_starts_no_collection_and_leaves_no_garbage(
     world = WALKS[walk]()
     assert run_collections == [[0, 0, 0]]
     assert gc.isenabled()
+    del world
+    assert gc.collect() == 0
+
+
+# ----------------------------------------------------------------------
+# Replays: nothing left to collect once the world is dropped
+# ----------------------------------------------------------------------
+
+
+def _population_replay():
+    # perfbench's replay-warm shape: 64 users with 20-name browsing
+    # profiles over 80 domains and 500 filler.  The universe is built
+    # and dropped inside the call.
+    return run_population_replay(
+        ReplayParams(
+            users=64,
+            queries=2_000,
+            domains=80,
+            registry_filler=500,
+            domains_per_user=20,
+            max_concurrent=64,
+            seed=2016,
+        )
+    )
+
+
+def _chaos_replay():
+    universe = _world()
+    replay = run_chaos_replay(
+        universe,
+        correct_bind_config(),
+        _NAMES,
+        scenario=registry_outage_scenario(rcode=None),
+        scenario_label="registry-blackhole",
+        load=ReplayLoad(users=8, queries=400, max_concurrent=8, seed=7),
+    )
+    return universe, replay
+
+
+def _adversary_replay():
+    universe = _world()
+    replay = run_adversary_replay(
+        universe,
+        correct_bind_config(),
+        _NAMES,
+        adversary=_PERSONAS["spoofer"],
+        adversary_label="spoofer",
+        load=ReplayLoad(users=8, queries=200, max_concurrent=8, seed=7),
+    )
+    return universe, replay
+
+
+REPLAYS = {
+    "population": _population_replay,
+    "chaos-registry-blackhole": _chaos_replay,
+    "adversary-spoofer": _adversary_replay,
+}
+
+
+@pytest.mark.parametrize("replay", sorted(REPLAYS))
+def test_a_dropped_replayed_world_leaves_no_garbage(replay):
+    gc.collect()
+    world = REPLAYS[replay]()
     del world
     assert gc.collect() == 0
