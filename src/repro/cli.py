@@ -15,13 +15,10 @@ Commands:
   cache statistics and the garbage collector's share.
 * ``store``    — inspect the crash-safe sweep result store:
   ``ls`` committed cells, ``verify`` payload + fingerprint integrity,
-  ``gc`` temp/corrupt/stale-version/lease files.
-* ``work``     — join a distributed sweep as one worker: claim cells
-  from a shared store under the lease discipline, take over dead
-  peers' cells, exit when the board is drained.
+  ``gc`` temp/corrupt/stale-version files.
 
-Exit-code contract (``sweep``, ``store``, ``work``): 0 success,
-1 corruption/incomplete, 2 usage error, 3 cells quarantined.
+Exit-code contract (``sweep``, ``store``): 0 success, 1 corruption,
+2 usage error, 3 cells quarantined.
 """
 
 from __future__ import annotations
@@ -93,11 +90,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # The worker count never sets the shard count: each shard is a
     # fresh resolver, so the shard count is part of the measurement.
     shards = args.shards if args.shards is not None else 1
-    if args.distributed is not None:
-        if store is None:
-            print("--distributed requires --store DIR", file=sys.stderr)
-            return 2
-        return _run_distributed_sweep(args, sizes, shards)
     if args.shards is not None or store is not None:
         points = sharded_leakage_sweep(
             sizes=sizes,
@@ -143,121 +135,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 else ""
             )
         )
-    return _report_quarantine(quarantined)
-
-
-def _report_quarantine(quarantined) -> int:
-    """List a sweep's quarantined cells after a blank line; the exit
-    code: 3 if any cell was quarantined, else 0."""
     if not quarantined:
         return 0
     print("\nquarantined cells (affected points are partial):")
     for cell in quarantined:
         print(f"  - {cell.describe()}")
     return 3
-
-
-def _run_distributed_sweep(
-    args: argparse.Namespace, sizes: List[int], shards: int
-) -> int:
-    """The ``repro sweep --distributed N`` coordinator path."""
-    from .analysis import (
-        LeakageSweepPoint,
-        fig8_dlv_queries,
-        fig9_leak_proportion,
-    )
-    from .core.distrib import run_distributed_sweep
-
-    outcome = run_distributed_sweep(
-        args.store,
-        workers=args.distributed,
-        sizes=sizes,
-        filler_count=args.filler,
-        shards=shards,
-        ttl=args.lease_ttl,
-        retries=args.retries,
-    )
-    print(
-        f"distributed sweep: {shards} shard(s), "
-        f"{args.distributed} worker(s), store={args.store}"
-    )
-    print(f"  {outcome.describe()}")
-    for worker_id, code in sorted(outcome.worker_exits.items()):
-        print(f"  worker {worker_id}: exit {code}")
-    print()
-    points = [
-        LeakageSweepPoint.of(size, result)
-        for size, result in zip(sorted(sizes), outcome.stage_results)
-    ]
-    print(fig8_dlv_queries(points)[1])
-    print()
-    print(fig9_leak_proportion(points)[1])
-    return _report_quarantine(outcome.quarantined)
-
-
-def _cmd_work(args: argparse.Namespace) -> int:
-    from .core import ResultStore
-    from .core.distrib import (
-        WorkerFault,
-        load_sweep_manifest,
-        read_marker,
-        run_worker,
-    )
-
-    fault = None
-    if args.die_after_claims is not None or args.stall_after_claims is not None:
-        fault = WorkerFault(
-            die_after_claims=args.die_after_claims,
-            stall_after_claims=args.stall_after_claims,
-            stall_seconds=args.stall_seconds,
-        )
-    report = run_worker(
-        args.store,
-        args.worker_id,
-        ttl=args.ttl,
-        retries=args.retries,
-        poll_interval=args.poll_interval,
-        max_takeovers=args.max_takeovers,
-        fault=fault,
-    )
-    # The exit-code contract is judged against the *board*, not just
-    # this worker: peers' quarantines leave the sweep incomplete too.
-    store = ResultStore(args.store)
-    manifest = load_sweep_manifest(store)
-    missing = 0
-    quarantined = 0
-    for cell in manifest.cells():
-        digest = cell.key.digest()
-        if store.path_for(digest).exists():
-            continue
-        if read_marker(store.quarantine_path_for(digest)) is not None:
-            quarantined += 1
-        else:
-            missing += 1
-    if args.json:
-        import json as json_module
-
-        payload = report.as_dict()
-        payload["board"] = {"missing": missing, "quarantined": quarantined}
-        print(json_module.dumps(payload, sort_keys=True))
-    else:
-        stats = report.stats
-        print(
-            f"worker {args.worker_id}: {stats.committed} committed, "
-            f"{stats.claims} claim(s), {stats.takeovers} takeover(s), "
-            f"{stats.duplicates} duplicate(s), "
-            f"{stats.quarantined} quarantined"
-        )
-        if quarantined or missing:
-            print(
-                f"board: {quarantined} cell(s) quarantined, "
-                f"{missing} missing"
-            )
-    if missing:
-        return 1
-    if quarantined:
-        return 3
-    return 0
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -300,20 +183,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0 if report.clean else 1
     if args.action == "gc":
         removed = store.gc(all_versions=args.all_versions)
-        leases = (
-            removed["lease_orphaned"]
-            + removed["lease_expired"]
-            + removed["lease_corrupt"]
-            + removed["lease_stale"]
-        )
         print(
             f"gc: removed {removed['tmp']} temp, {removed['corrupt']} "
-            f"corrupt, {removed['stale']} stale-version, "
-            f"{leases} lease file(s) "
-            f"({removed['lease_orphaned']} orphaned, "
-            f"{removed['lease_expired']} expired, "
-            f"{removed['lease_corrupt']} corrupt, "
-            f"{removed['lease_stale']} rename remnant) "
+            f"corrupt, {removed['stale']} stale-version "
             f"({removed['bytes']} bytes)"
         )
         return 0
@@ -757,8 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     exit_contract = (
         "exit codes:\n"
         "  0  success — every cell ran (or was reused) cleanly\n"
-        "  1  corruption — verification found corrupt cells / the board\n"
-        "     was left incomplete\n"
+        "  1  corruption — verification found corrupt cells\n"
         "  2  usage error (bad flag combination, missing store)\n"
         "  3  quarantine — some cells were quarantined; healthy output\n"
         "     was still produced but the affected points are partial"
@@ -788,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="split each size into K shards, each a fresh resolver from "
         "a derived seed: the population-of-resolvers reading, which "
         "prints different counts from the paper's single-resolver walk "
-        "(default: the walk; 1 with --store or --distributed)",
+        "(default: the walk; 1 with --store)",
     )
     sweep.add_argument(
         "--store",
@@ -833,23 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per failing cell, on a deterministic "
         "exponential backoff (default 2)",
     )
-    sweep.add_argument(
-        "--distributed",
-        type=int,
-        metavar="N",
-        help="coordinator mode: write the sweep manifest into --store, "
-        "spawn N independent 'repro work' worker processes to drain it "
-        "under the lease discipline, and merge (requires --store; see "
-        "'repro work --help' for joining from other hosts)",
-    )
-    sweep.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        help="distributed mode: lease heartbeat TTL in seconds — a "
-        "worker silent this long is presumed dead and its cell taken "
-        "over (default 30)",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     store = subparsers.add_parser(
@@ -867,81 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reclaiming them",
     )
     store.set_defaults(func=_cmd_store)
-
-    work = subparsers.add_parser(
-        "work",
-        help="join a distributed sweep as one lease-coordinated worker",
-        epilog=exit_contract,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    work.add_argument(
-        "--store",
-        required=True,
-        metavar="DIR",
-        help="shared result store holding the sweep manifest (written by "
-        "'repro sweep --distributed' or write_sweep_manifest)",
-    )
-    work.add_argument(
-        "--worker-id",
-        required=True,
-        help="this worker's identity, recorded in its lease claims and "
-        "journal events (unique per process/host, e.g. 'host3-w0')",
-    )
-    work.add_argument(
-        "--ttl",
-        type=float,
-        default=30.0,
-        help="lease heartbeat TTL in seconds; must match the fleet's "
-        "(default 30)",
-    )
-    work.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="local retry budget per failing cell before quarantining "
-        "it for the whole fleet (default 2)",
-    )
-    work.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        help="idle rescan interval when every open cell is leased to a "
-        "live peer (default 0.05s)",
-    )
-    work.add_argument(
-        "--max-takeovers",
-        type=int,
-        default=3,
-        help="a cell whose lease has been taken over this many times is "
-        "quarantined as poison (default 3)",
-    )
-    work.add_argument(
-        "--json",
-        action="store_true",
-        help="print the worker report as JSON (machine consumption)",
-    )
-    work.add_argument(
-        "--die-after-claims",
-        type=int,
-        metavar="N",
-        help="failure injection (tests/CI): SIGKILL this worker right "
-        "after its Nth successful claim, mid-cell with the lease held",
-    )
-    work.add_argument(
-        "--stall-after-claims",
-        type=int,
-        metavar="N",
-        help="failure injection (tests/CI): after the Nth claim, stall "
-        "without heartbeating for --stall-seconds before running the "
-        "cell (exercises the fencing path)",
-    )
-    work.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=0.0,
-        help="stall duration for --stall-after-claims",
-    )
-    work.set_defaults(func=_cmd_work)
 
     tables = subparsers.add_parser("tables", help="regenerate Tables 1-5")
     tables.add_argument("--sizes", default="100")

@@ -17,9 +17,7 @@ contract:
   :class:`FaultTolerantExecutor` on forked workers with timeouts,
   retries and quarantine; the executor choice is *provably invisible*
   in the output (enforced by
-  ``tests/core/test_parallel_equivalence.py``).  The third way to run
-  cells, the lease workers of :mod:`repro.core.distrib`, drains a
-  shared :class:`~repro.core.store.ResultStore` instead of a task list;
+  ``tests/core/test_parallel_equivalence.py``);
 * every sharded sweep, stored or not, runs its cells through one
   engine, :func:`~repro.core.store.run_stored_cells` on the
   fault-tolerant executor; :func:`run_sharded_experiment` runs one
@@ -95,6 +93,11 @@ _POLL_SECONDS = 0.02
 
 #: A picklable callable building a fresh universe from a sub-seed.
 UniverseFactory = Callable[[int], Universe]
+
+#: The stub behaviour every shard runs with, which its cell key
+#: records: the share of names also looked up as PTR, and the DO bit.
+SHARD_PTR_FRACTION = 0.01
+SHARD_DNSSEC_OK_STUB = True
 
 
 # ----------------------------------------------------------------------
@@ -669,8 +672,8 @@ class TaskFailure(RuntimeError):
         # RuntimeError's default reduce replays ``args`` (the rendered
         # message) into ``__init__``, which takes (context, detail) —
         # so a pickled failure either crashed on unpickle or lost its
-        # cell context.  Failures cross process boundaries (pool pipes,
-        # distributed workers), so reconstruct from the real fields.
+        # cell context.  Failures cross the pool's pipes, so
+        # reconstruct from the real fields.
         return (type(self), (self.context, self.detail))
 
 
@@ -1222,8 +1225,6 @@ def run_shard(
     factory: UniverseFactory,
     config: ResolverConfig,
     spec: ShardSpec,
-    ptr_fraction: float = 0.01,
-    dnssec_ok_stub: bool = True,
     trace: bool = False,
 ) -> ExperimentResult:
     """Run one shard in a fresh universe built from its sub-seed.
@@ -1237,8 +1238,8 @@ def run_shard(
     experiment = LeakageExperiment(
         universe,
         config,
-        ptr_fraction=ptr_fraction,
-        dnssec_ok_stub=dnssec_ok_stub,
+        ptr_fraction=SHARD_PTR_FRACTION,
+        dnssec_ok_stub=SHARD_DNSSEC_OK_STUB,
         tracer=tracer,
         metrics=metrics,
     )
@@ -1252,8 +1253,6 @@ def run_sharded_experiment(
     seed: int = 0,
     shards: int = 1,
     executor=None,
-    ptr_fraction: float = 0.01,
-    dnssec_ok_stub: bool = True,
     trace: bool = False,
 ) -> ExperimentResult:
     """Shard *names*, run the shards on *executor*, merge
@@ -1268,14 +1267,7 @@ def run_sharded_experiment(
     """
     plan = plan_shards(names, shards, seed)
     tasks = [
-        _ShardTask(
-            factory=factory,
-            config=config,
-            spec=spec,
-            ptr_fraction=ptr_fraction,
-            dnssec_ok_stub=dnssec_ok_stub,
-            trace=trace,
-        )
+        _ShardTask(factory=factory, config=config, spec=spec, trace=trace)
         for spec in plan
     ]
     results = (executor or SerialExecutor()).run(tasks)
@@ -1293,16 +1285,7 @@ class _ShardTask:
     factory: UniverseFactory
     config: ResolverConfig
     spec: ShardSpec
-    ptr_fraction: float
-    dnssec_ok_stub: bool
-    trace: bool
+    trace: bool = False
 
     def __call__(self) -> ExperimentResult:
-        return run_shard(
-            self.factory,
-            self.config,
-            self.spec,
-            ptr_fraction=self.ptr_fraction,
-            dnssec_ok_stub=self.dnssec_ok_stub,
-            trace=self.trace,
-        )
+        return run_shard(self.factory, self.config, self.spec, trace=self.trace)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .. import perf
 from ..crypto.memo import BoundedMemo
@@ -134,18 +134,13 @@ def standard_sweep_cells(
     seed: int = 2016,
     config: Optional[ResolverConfig] = None,
     shards: int = 1,
-    **planning: Any,
 ) -> List[SweepCell]:
     """The cells of the calibrated Figs 8/9 sweep: one stage per size,
     in ascending order, each the shard plan of the top-*size* names in
-    a universe built for that size.  ``planning`` goes to
-    :func:`~repro.core.store.plan_cells` (``ptr_fraction``, ``trace``,
-    ``kind``, ``code_version``, ...).
+    a universe built for that size.
 
-    Every local sharded sweep, with or without a store, runs these
-    cells on :func:`~repro.core.store.run_stored_cells`, and the lease
-    workers' manifest plans here too, so every path addresses the same
-    cells.
+    Every sharded sweep, with or without a store, runs these cells on
+    :func:`~repro.core.store.run_stored_cells`.
     """
     resolver_config = config or correct_bind_config()
     cells: List[SweepCell] = []
@@ -160,7 +155,6 @@ def standard_sweep_cells(
                 seed=seed,
                 shards=shards,
                 stage=stage,
-                **planning,
             )
         )
     return cells

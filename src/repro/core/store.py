@@ -64,7 +64,6 @@ import json
 import os
 import pickle
 import signal
-import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -73,6 +72,8 @@ from ..dnscore import Name
 from ..resolver import ResolverConfig
 from .experiment import ExperimentResult
 from .parallel import (
+    SHARD_DNSSEC_OK_STUB,
+    SHARD_PTR_FRACTION,
     ExecutorHealth,
     FaultInjection,
     FaultTolerantExecutor,
@@ -88,36 +89,17 @@ from .parallel import (
 #: Envelope schema version; bump on incompatible layout changes.
 STORE_FORMAT = 1
 
-#: Suffixes the distributed layer (:mod:`repro.core.distrib`) parks
-#: beside cells: a worker's claim, and a cross-worker poison marker.
-LEASE_SUFFIX = ".lease"
-QUARANTINE_SUFFIX = ".quarantine"
-
-#: A lease file untouched for this long is unquestionably dead no
-#: matter what TTL its sweep ran with; :meth:`ResultStore.gc` reclaims
-#: it even when it can't parse the recorded TTL.
-GC_LEASE_GRACE_SECONDS = 3600.0
-
-
-class StoreError(Exception):
-    """A store operation failed (not a corruption — those are handled)."""
-
-
 _TEMP_SERIAL = itertools.count(1)
 
 
-def _durable_write(path: Path, data: bytes, exclusive: bool = False) -> bool:
+def _durable_write(path: Path, data: bytes) -> None:
     """Land *data* at *path* whole or not at all.
 
     The bytes go to a private temp file beside *path* (named
     ``*.tmp.<pid>.<serial>``, unique per call, which ``gc`` reclaims
     after a crash), are flushed and fsynced, and then take *path*'s
-    place in one step: ``os.replace`` (a reader sees the old file or
-    the new one, never an empty or torn one), or with ``exclusive``
-    ``os.link``, which fails with ``EEXIST`` like ``O_EXCL`` does, so
-    exactly one of several racing writers creates the file and no
-    reader sees it mid-write.  Returns False only when an exclusive
-    write found *path* already there.
+    place with ``os.replace``: a reader sees the old file or the new
+    one, never an empty or torn one.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     serial = next(_TEMP_SERIAL)
@@ -126,16 +108,7 @@ def _durable_write(path: Path, data: bytes, exclusive: bool = False) -> bool:
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-    if not exclusive:
-        os.replace(temp, path)
-        return True
-    try:
-        os.link(temp, path)
-        return True
-    except FileExistsError:
-        return False
-    finally:
-        os.unlink(temp)
+    os.replace(temp, path)
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +215,9 @@ def factory_digest(factory: UniverseFactory) -> str:
     ``functools.partial`` factories (the shape
     :func:`~repro.core.setup.standard_universe_factory` returns) digest
     their target and every bound argument, so changing the filler count
-    or an override dirties the key.  Opaque closures reduce to their
-    qualified name — callers with closure-captured parameters should
-    pass an explicit ``factory_key`` to :func:`run_stored_sweep`.
+    or an override dirties the key.  An opaque closure reduces to its
+    qualified name and what it captures does not enter the key, so a
+    stored sweep takes a ``functools.partial`` factory.
     """
     return stable_digest(factory)
 
@@ -314,18 +287,17 @@ def shard_cell_key(
     spec: ShardSpec,
     shard_count: int,
     seed: int,
-    ptr_fraction: float = 0.01,
-    dnssec_ok_stub: bool = True,
-    trace: bool = False,
-    kind: str = "leakage-shard",
-    factory_key: Optional[str] = None,
-    code_version: Optional[str] = None,
 ) -> CellKey:
-    """The :class:`CellKey` for one shard of a sharded leakage sweep."""
+    """The :class:`CellKey` for one shard of a sharded leakage sweep.
+
+    ``extra`` records the stub behaviour every stored shard runs with:
+    untraced, with :data:`~repro.core.parallel.SHARD_PTR_FRACTION` and
+    :data:`~repro.core.parallel.SHARD_DNSSEC_OK_STUB`.
+    """
     return CellKey(
-        kind=kind,
-        code_version=code_version or current_code_version(),
-        factory=factory_key or factory_digest(factory),
+        kind="leakage-shard",
+        code_version=current_code_version(),
+        factory=factory_digest(factory),
         config=config_digest(config),
         workload=names_digest(spec.names),
         seed=seed,
@@ -333,9 +305,9 @@ def shard_cell_key(
         shard_count=shard_count,
         shard_seed=spec.seed,
         extra=(
-            ("dnssec_ok_stub", str(dnssec_ok_stub)),
-            ("ptr_fraction", repr(float(ptr_fraction))),
-            ("trace", str(trace)),
+            ("dnssec_ok_stub", str(SHARD_DNSSEC_OK_STUB)),
+            ("ptr_fraction", repr(SHARD_PTR_FRACTION)),
+            ("trace", "False"),
         ),
     )
 
@@ -349,10 +321,12 @@ class SweepJournal:
 
     Each :meth:`record` appends one line and fsyncs, so the journal
     survives the same crashes the store does.  A torn final line (the
-    crash landed mid-append) is tolerated on read.  Appenders — threads
-    or ``repro work`` processes sharing the file — take an exclusive
-    ``flock`` for the heal-and-append, so none reads another's
-    half-visible write as a torn tail.
+    crash landed mid-append) is tolerated on read.  One sweep journals
+    from its coordinator alone, but a store may be shared: two sweeps
+    run on one directory at once append to one journal from two
+    processes.  So every appender takes an exclusive ``flock`` for the
+    heal-and-append, and none reads another's half-visible write as a
+    torn tail and splits it.
     """
 
     def __init__(self, path: Path):
@@ -452,15 +426,15 @@ class ResultStore:
 
     Commits are idempotent (re-committing an equal result under the
     same key rewrites the same content) and atomic (temp file in the
-    destination directory, fsync, ``os.replace``).  Loads verify both
+    destination directory, fsync, ``os.replace``), so sweeps run at
+    once may share a store: two that run one cell both commit the
+    same bytes.  Loads verify both
     the payload bytes and the recomputed result fingerprint against the
     digests in the envelope; any mismatch quarantines the file to
     ``*.corrupt`` and reports a miss, which makes the cell re-run.
     """
 
     CELL_SUFFIX = ".cell"
-    LEASE_SUFFIX = LEASE_SUFFIX  # module constant, re-exported per-store
-    QUARANTINE_SUFFIX = QUARANTINE_SUFFIX
 
     def __init__(
         self,
@@ -482,18 +456,6 @@ class ResultStore:
 
     def path_for(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}{self.CELL_SUFFIX}"
-
-    def lease_path_for(self, digest: str) -> Path:
-        """Where a distributed worker's claim on this cell lives (see
-        :mod:`repro.core.distrib`): beside the cell, so the claim and
-        the commit share a directory — and a filesystem."""
-        path = self.path_for(digest)
-        return path.parent / f"{digest}{self.LEASE_SUFFIX}"
-
-    def quarantine_path_for(self, digest: str) -> Path:
-        """Where a cell's cross-worker quarantine marker lives."""
-        path = self.path_for(digest)
-        return path.parent / f"{digest}{self.QUARANTINE_SUFFIX}"
 
     def journal(self) -> SweepJournal:
         return SweepJournal(self.root / "journal.jsonl")
@@ -638,44 +600,19 @@ class ResultStore:
                 report.ok += 1
         return report
 
-    def gc(
-        self, all_versions: bool = False, now: Optional[float] = None
-    ) -> Dict[str, int]:
+    def gc(self, all_versions: bool = False) -> Dict[str, int]:
         """Reclaim junk, one class at a time, each reported in the
         returned stats dict:
 
-        * ``tmp`` — stray ``*.tmp.*`` files from interrupted commits
-          (and interrupted lease refreshes);
+        * ``tmp`` — stray ``*.tmp.*`` files from interrupted commits;
         * ``corrupt`` — ``*.corrupt`` corpses whose cell has since been
           **recommitted** healthy: the evidence served its purpose.  A
           corpse with *no* healthy sibling is kept — it is the only
           forensic record of what the corruption looked like;
-        * ``lease_orphaned`` — lease files whose cell is already
-          committed (the owner died between commit and release, or was
-          fenced);
-        * ``lease_expired`` — lease files whose own heartbeat+TTL says
-          the owner is long dead (2× the recorded TTL, so a gc run
-          never races a live sweep's renewal cadence);
-        * ``lease_corrupt`` — unparseable lease files older than
-          :data:`GC_LEASE_GRACE_SECONDS` (a *fresh* torn lease is left
-          for the workers' own takeover arbitration to consume);
-        * ``lease_stale`` — ``*.lease.stale.*`` remnants of the
-          rename-aside takeover of earlier versions, left by a crash
-          between rename and unlink;
         * ``stale`` — unless ``all_versions``, cells keyed under other
           code versions.
         """
-        now = time.time() if now is None else now
-        removed = {
-            "tmp": 0,
-            "corrupt": 0,
-            "stale": 0,
-            "lease_orphaned": 0,
-            "lease_expired": 0,
-            "lease_corrupt": 0,
-            "lease_stale": 0,
-            "bytes": 0,
-        }
+        removed = {"tmp": 0, "corrupt": 0, "stale": 0, "bytes": 0}
 
         def reclaim(path: Path, kind: str) -> None:
             try:
@@ -687,27 +624,6 @@ class ResultStore:
 
         for path in list(self.root.glob("*/*.tmp.*")):
             reclaim(path, "tmp")
-        for path in list(self.root.glob(f"*/*{LEASE_SUFFIX}.stale.*")):
-            reclaim(path, "lease_stale")
-        for path in list(self.root.glob(f"*/*{LEASE_SUFFIX}")):
-            digest = path.name[: -len(LEASE_SUFFIX)]
-            if self.path_for(digest).exists():
-                reclaim(path, "lease_orphaned")
-                continue
-            try:
-                lease = json.loads(path.read_text(encoding="utf-8"))
-                heartbeat = float(lease["heartbeat"])
-                ttl = float(lease["ttl"])
-            except Exception:
-                try:
-                    aged = now - path.stat().st_mtime
-                except OSError:
-                    continue
-                if aged > GC_LEASE_GRACE_SECONDS:
-                    reclaim(path, "lease_corrupt")
-                continue
-            if now - heartbeat > max(2.0 * ttl, ttl + 1.0):
-                reclaim(path, "lease_expired")
         for path in list(self.root.glob("*/*.corrupt")):
             # `<digest>.cell.corrupt` → reclaim only once a healthy
             # `<digest>.cell` exists again.
@@ -793,45 +709,23 @@ def plan_cells(
     seed: int = 0,
     shards: int = 1,
     stage: int = 0,
-    ptr_fraction: float = 0.01,
-    dnssec_ok_stub: bool = True,
-    trace: bool = False,
-    kind: str = "leakage-shard",
-    factory_key: Optional[str] = None,
-    code_version: Optional[str] = None,
 ) -> List[SweepCell]:
     """One stage's cells: the shard plan of *names*, each shard with its
     :class:`CellKey` and its task, in shard order.
 
-    The stored sweep, the multi-size stored sweep and the lease
-    workers' manifest all plan here, so the same inputs give the same
-    keys on every path.
+    The one-size and the multi-size sweep both plan here, so the same
+    inputs give the same keys on every path.
     """
-    cells: List[SweepCell] = []
-    for spec in plan_shards(names, shards, seed):
-        key = shard_cell_key(
-            factory,
-            config,
-            spec,
-            shard_count=shards,
-            seed=seed,
-            ptr_fraction=ptr_fraction,
-            dnssec_ok_stub=dnssec_ok_stub,
-            trace=trace,
-            kind=kind,
-            factory_key=factory_key,
-            code_version=code_version,
+    return [
+        SweepCell(
+            key=shard_cell_key(
+                factory, config, spec, shard_count=shards, seed=seed
+            ),
+            task=_ShardTask(factory=factory, config=config, spec=spec),
+            stage=stage,
         )
-        task = _ShardTask(
-            factory=factory,
-            config=config,
-            spec=spec,
-            ptr_fraction=ptr_fraction,
-            dnssec_ok_stub=dnssec_ok_stub,
-            trace=trace,
-        )
-        cells.append(SweepCell(key=key, task=task, stage=stage))
-    return cells
+        for spec in plan_shards(names, shards, seed)
+    ]
 
 
 class _CommittedCell:
@@ -1038,15 +932,10 @@ def run_stored_sweep(
     shards: Optional[int] = None,
     parallelism: int = 1,
     store: Optional[ResultStore] = None,
-    ptr_fraction: float = 0.01,
-    dnssec_ok_stub: bool = True,
-    trace: bool = False,
     timeout: Optional[float] = None,
     retries: int = 2,
     fail_fast: bool = False,
     backoff_base: float = 0.05,
-    factory_key: Optional[str] = None,
-    kind: str = "leakage-shard",
     journal: Optional[SweepJournal] = None,
     metrics=None,
     injection: Optional[FaultInjection] = None,
@@ -1074,11 +963,6 @@ def run_stored_sweep(
         names,
         seed=seed,
         shards=shards if shards is not None else max(parallelism, 1),
-        ptr_fraction=ptr_fraction,
-        dnssec_ok_stub=dnssec_ok_stub,
-        trace=trace,
-        kind=kind,
-        factory_key=factory_key,
     )
     (outcome,) = run_stored_cells(
         cells,

@@ -7,32 +7,43 @@ and Fig 9 tables, byte for byte:
 
 * no knobs — the paper's single-resolver walk — whatever the worker
   count or the hot-path caches;
-* ``--shards 2`` however its cells execute: pooled, stored, resumed or
-  drained by lease workers;
+* ``--shards 2`` however its cells execute: pooled, stored, resumed,
+  or stored by two sweeps sharing one store at once;
 * ``--store`` without ``--shards``: one shard, whatever the worker
-  count or the execution path.
+  count.
 
 The groups are not compared with each other: a sharded or stored cell
 builds its own universe for its size from a derived seed, while the
 walk builds one universe for the largest size.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from typing import List
 
 import pytest
 
 from repro import perf
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import CellTimeout, ResultStore
 
 SWEEP = ["sweep", "--sizes", "60,200", "--filler", "300"]
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _figures(capsys, *knobs: str) -> List[str]:
     """The Fig 8 and Fig 9 table lines ``repro sweep`` prints."""
     assert main([*SWEEP, *knobs]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    return _figure_lines(capsys.readouterr().out)
+
+
+def _figure_lines(out: str) -> List[str]:
+    lines = out.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("Fig 8:"))
     fig9 = next(i for i, line in enumerate(lines) if line.startswith("Fig 9:"))
     end = next(
@@ -56,18 +67,63 @@ def test_shard_plan_alone_sets_the_sharded_figures(capsys, tmp_path):
         ("--parallelism", "2"),
         ("--store", store),
         ("--store", store, "--resume"),
-        ("--store", str(tmp_path / "distributed"), "--distributed", "2"),
     ):
         assert _figures(capsys, "--shards", "2", *knobs) == sharded, knobs
 
 
 def test_stored_sweep_defaults_to_one_shard(capsys, tmp_path):
     stored = _figures(capsys, "--store", str(tmp_path / "serial"))
-    for knobs in (
-        ("--store", str(tmp_path / "pooled"), "--parallelism", "2"),
-        ("--store", str(tmp_path / "distributed"), "--distributed", "2"),
-    ):
-        assert _figures(capsys, *knobs) == stored, knobs
+    pooled = ("--store", str(tmp_path / "pooled"), "--parallelism", "2")
+    assert _figures(capsys, *pooled) == stored
+
+
+def test_two_sweeps_started_at_once_share_one_store(capsys, tmp_path):
+    """A store needs no coordination between the sweeps that share it:
+    cells are content-addressed and commits atomic and idempotent, and
+    the journal's appenders take a lock.  Two processes started
+    together on one directory both finish and print the store-less
+    figures, the store verifies clean, and the journal holds one
+    parseable commit line per cell either sweep ran."""
+    sharded = _figures(capsys, "--shards", "2")
+    store = tmp_path / "store"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    command = [
+        sys.executable, "-m", "repro", *SWEEP,
+        "--shards", "2", "--store", str(store),
+    ]
+    sweeps = [
+        subprocess.Popen(
+            command, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for _ in range(2)
+    ]
+    reruns = 0
+    for sweep in sweeps:
+        out, err = sweep.communicate(timeout=300)
+        assert sweep.returncode == 0, err
+        assert _figure_lines(out) == sharded
+        counts = re.search(r"store: (\d+) cell\(s\) reused, (\d+) re-run", out)
+        reused, rerun = (int(count) for count in counts.groups())
+        assert reused + rerun == 4
+        reruns += rerun
+    report = ResultStore(store).verify()
+    assert report.clean and report.checked == report.ok == 4
+    lines = (store / "journal.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    assert sum(event["event"] == "commit" for event in events) == reruns
+
+
+@pytest.mark.parametrize("verb", ["sweep", "store"])
+def test_epilog_documents_the_contract(verb):
+    parser = build_parser()
+    (subparsers,) = parser._subparsers._group_actions
+    text = subparsers.choices[verb].format_help()
+    assert "exit codes:" in text
+    for marker in ("0  success", "1  corruption", "2  usage",
+                   "3  quarantine"):
+        assert marker in text, (verb, marker)
 
 
 def test_storeless_sweep_honours_the_failure_knobs(capsys):

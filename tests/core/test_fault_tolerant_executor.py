@@ -4,6 +4,7 @@ and the no-hung-processes guarantee."""
 
 import multiprocessing
 import os
+import pickle
 import signal
 
 import pytest
@@ -112,6 +113,46 @@ def test_keep_going_quarantines_and_returns_health():
     # The protocol-compatible run() cannot return partial lists.
     with pytest.raises(QuarantineError):
         executor.run([_ok("a"), failing])
+
+
+class TestFailurePickling:
+    """Workers raise these in child processes; the parent re-raises
+    them.  RuntimeError's default reduce replays the *rendered*
+    message into the constructor, which would mangle the custom
+    ``(context, detail)`` signatures — hence ``__reduce__``."""
+
+    def test_task_failure_roundtrip(self):
+        original = TaskFailure("cell 3 [shard 3/4]", "Boom\n  traceback")
+        clone = pickle.loads(pickle.dumps(original))
+        assert type(clone) is TaskFailure
+        assert clone.context == original.context
+        assert clone.detail == original.detail
+        assert str(clone) == str(original)
+
+    def test_worker_lost_roundtrip(self):
+        for exitcode in (-9, 1, None):
+            original = WorkerLost("cell 0 [shard 0/2]", exitcode)
+            clone = pickle.loads(pickle.dumps(original))
+            assert type(clone) is WorkerLost
+            assert clone.exitcode == exitcode
+            assert clone.context == original.context
+            assert str(clone) == str(original)
+
+    def test_cell_timeout_roundtrip(self):
+        original = CellTimeout("cell 1 [shard 1/2]", 12.5)
+        clone = pickle.loads(pickle.dumps(original))
+        assert type(clone) is CellTimeout
+        assert clone.timeout == 12.5
+        assert str(clone) == str(original)
+
+    def test_kind_survives(self):
+        for original in (
+            TaskFailure("c", "d"),
+            WorkerLost("c", -9),
+            CellTimeout("c", 1.0),
+        ):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone.kind == original.kind
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """SweepJournal under concurrent appenders and torn tails.
 
-The journal is the one store file that *many* writers append to at
-once — every worker in a distributed sweep records its claims and
-commits there.  These tests pin the two properties that make that
-safe:
+The journal is the one store file that several writers may append to
+at once — sweeps run together on one shared store all record their
+reuses and commits there.  These tests pin the two properties that
+make that safe:
 
 * **append atomicity** — records from concurrent appenders (threads
   and real processes) all survive, unmangled, and stay in per-writer
@@ -114,7 +114,7 @@ def test_heal_never_splits_a_concurrent_append(tmp_path):
 
 @needs_fork
 def test_concurrent_process_appenders(tmp_path):
-    """The distributed-sweep shape: separate interpreters, one file."""
+    """The shared-store shape: separate interpreters, one file."""
     path = tmp_path / "journal.jsonl"
     context = multiprocessing.get_context("fork")
     processes = [

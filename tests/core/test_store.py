@@ -178,73 +178,6 @@ def test_gc_reclaims_tmp_corrupt_and_stale_versions(tmp_path, shard_result):
     assert ResultStore(tmp_path).load(key) is not None
 
 
-def test_gc_reclaims_orphaned_expired_and_corrupt_leases(
-    tmp_path, shard_result
-):
-    """The lease classes: a lease whose cell is committed (owner died
-    between commit and release), a lease whose heartbeat is long past
-    its TTL, a fresh unparseable lease (kept for worker arbitration)
-    vs an old one (reclaimed), and takeover-rename remnants."""
-    import json as json_module
-
-    key, result = shard_result
-    store = ResultStore(tmp_path)
-    store.commit(key, result)
-    now = 1_000_000.0
-
-    def lease_payload(heartbeat, ttl=5.0):
-        return json_module.dumps(
-            {
-                "format": 1,
-                "cell": "x" * 64,
-                "owner": "w0",
-                "nonce": "w0:1:1",
-                "token": 1,
-                "ttl": ttl,
-                "acquired": heartbeat,
-                "heartbeat": heartbeat,
-                "takeovers": 0,
-            }
-        )
-
-    # Orphaned: the committed cell still carries a lease.
-    orphaned = store.lease_path_for(key.digest())
-    orphaned.write_text(lease_payload(now))
-    # Expired: uncommitted cell, heartbeat 100×TTL ago.
-    expired = store.lease_path_for("ee" + "0" * 62)
-    expired.parent.mkdir(parents=True, exist_ok=True)
-    expired.write_text(lease_payload(now - 500.0))
-    # Live: uncommitted cell, fresh heartbeat — must be kept.
-    live = store.lease_path_for("aa" + "0" * 62)
-    live.parent.mkdir(parents=True, exist_ok=True)
-    live.write_text(lease_payload(now - 1.0))
-    # Corrupt: unparseable bytes.  mtime is *now*, so the fresh one is
-    # left for the workers' own takeover arbitration.
-    fresh_garbage = store.lease_path_for("bb" + "0" * 62)
-    fresh_garbage.parent.mkdir(parents=True, exist_ok=True)
-    fresh_garbage.write_bytes(b"\x00\xffnot a lease")
-    # A takeover-rename remnant (crash between rename and unlink).
-    stale_remnant = expired.parent / (expired.name + ".stale.4242")
-    stale_remnant.write_text(lease_payload(now - 500.0))
-
-    removed = store.gc(now=now)
-    assert removed["lease_orphaned"] == 1 and not orphaned.exists()
-    assert removed["lease_expired"] == 1 and not expired.exists()
-    assert removed["lease_stale"] == 1 and not stale_remnant.exists()
-    assert removed["lease_corrupt"] == 0 and fresh_garbage.exists()
-    assert live.exists()
-    assert removed["bytes"] > 0
-
-    # Hours later the garbage lease is past the grace window.
-    from repro.core.store import GC_LEASE_GRACE_SECONDS
-
-    later = fresh_garbage.stat().st_mtime + GC_LEASE_GRACE_SECONDS + 1.0
-    removed = store.gc(now=later)
-    assert removed["lease_corrupt"] == 1 and not fresh_garbage.exists()
-    # The live lease's heartbeat is ancient by then too.
-    assert removed["lease_expired"] == 1 and not live.exists()
-
-
 def test_gc_keeps_corrupt_corpse_until_recommit(tmp_path, shard_result):
     """A `.corrupt` corpse is forensic evidence while its cell is
     missing; once the cell is recommitted healthy it becomes junk."""
@@ -312,6 +245,30 @@ def test_code_version_env_override_dirties_cells(
     assert new_key.code_version == "experimental"
     assert new_key.digest() != key.digest()
     assert ResultStore(tmp_path).load(new_key) is None
+
+
+def test_shard_key_address_is_pinned(monkeypatch):
+    """A committed cell keeps its address: under a fixed code version,
+    shard 0's key carries the leakage-shard kind and the fixed stub
+    behaviour, and digests to the value stores already hold."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
+    factory = standard_universe_factory(
+        DOMAINS, filler_count=FILLER, workload_seed=SEED
+    )
+    names = standard_workload(DOMAINS, seed=SEED).names(DOMAINS)
+    spec = plan_shards(names, 2, SEED)[0]
+    key = shard_cell_key(
+        factory, correct_bind_config(), spec, shard_count=2, seed=SEED
+    )
+    assert key.kind == "leakage-shard"
+    assert key.extra == (
+        ("dnssec_ok_stub", "True"),
+        ("ptr_fraction", "0.01"),
+        ("trace", "False"),
+    )
+    assert key.digest() == (
+        "cb26a859f0b05cfe54828a90dc263deceb021d4f690283c5d557bdaa91a64d6f"
+    )
 
 
 def test_stable_digest_canonicalisation():
